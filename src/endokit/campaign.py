@@ -9,13 +9,14 @@ whole report reproducible byte for byte.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import random
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import catalog
 from .catalog import GroupType, LeviDatum, gl, levi_data, levi_enumerate, layout_for, so_even, so_odd, sp, u
@@ -100,6 +101,28 @@ class CheckRecord:
         }
 
 
+_enc = json.encoder.encode_basestring_ascii
+_CSV_FIELDS = ("check", "law", "scenario", "status", "witness")
+
+
+def _witness_pairs(witness: dict) -> list[str]:
+    """``"key": "value"`` JSON members of a witness, by sorted key, each value
+    as its ``str``; the members of ``CheckRecord.to_dict()["witness"]``."""
+    return [f"{_enc(k)}: {_enc(str(witness[k]))}" for k in sorted(witness)]
+
+
+def _json_record(rec: CheckRecord) -> str:
+    """One element of the report's ``checks`` list, laid out as
+    ``json.dumps(..., indent=2, sort_keys=True)`` lays it out at that depth."""
+    pairs = _witness_pairs(rec.witness)
+    witness = "{\n        " + ",\n        ".join(pairs) + "\n      }" if pairs else "{}"
+    return (
+        f'    {{\n      "check": {_enc(rec.check)},\n      "law": {_enc(rec.law)},\n'
+        f'      "scenario": {_enc(rec.scenario)},\n      "status": {_enc(rec.status)},\n'
+        f'      "witness": {witness}\n    }}'
+    )
+
+
 @dataclass
 class VerificationReport:
     spec: CampaignSpec
@@ -113,26 +136,59 @@ class VerificationReport:
     def failures(self) -> list[CheckRecord]:
         return [r for r in self.records if r.status != "pass"]
 
-    def body(self) -> dict:
-        """Deterministic report body (timings excluded)."""
+    def _meta(self) -> dict:
         return {
-            "meta": {
-                "max_rank": self.spec.max_rank,
-                "orders": list(self.spec.orders),
-                "q_values": list(self.spec.q_values),
-                "suites": list(self.spec.suites),
-                "seed": self.spec.seed,
-                "complexity": self.spec.complexity_note(),
-                "record_count": len(self.records),
-                "all_passed": self.passed,
-            },
-            "checks": [r.to_dict() for r in self.records],
+            "max_rank": self.spec.max_rank,
+            "orders": list(self.spec.orders),
+            "q_values": list(self.spec.q_values),
+            "suites": list(self.spec.suites),
+            "seed": self.spec.seed,
+            "complexity": self.spec.complexity_note(),
+            "record_count": len(self.records),
+            "all_passed": self.passed,
         }
 
-    def to_json(self) -> str:
-        payload = dict(self.body())
-        payload["timings"] = {k: round(v, 3) for k, v in sorted(self.timings.items())}
-        return json.dumps(payload, indent=2, sort_keys=True)
+    def body(self) -> dict:
+        """Deterministic report body (timings excluded)."""
+        return {"meta": self._meta(), "checks": [r.to_dict() for r in self.records]}
+
+    def write(self, fh: TextIO, fmt: str) -> None:
+        """Write the report to ``fh`` one record at a time.
+
+        ``json`` is byte for byte ``json.dumps(payload, indent=2,
+        sort_keys=True)`` plus a newline, where ``payload`` is ``body()`` with
+        the timings rounded to milliseconds; only the small ``meta`` and
+        ``timings`` tail goes through ``json.dumps``.  ``csv`` has a header and
+        one row per record, the witness as compact sorted-key JSON.  ``text``
+        has one ``[status] check scenario`` line per record, and an empty
+        report is one empty line.  No format holds more than one record's
+        output in memory.
+        """
+        if fmt == "json":
+            fh.write('{\n  "checks": [')
+            sep = "\n"
+            for rec in self.records:
+                fh.write(sep)
+                fh.write(_json_record(rec))
+                sep = ",\n"
+            fh.write("\n  ],\n" if self.records else "],\n")
+            timings = {k: round(v, 3) for k, v in self.timings.items()}
+            tail = json.dumps({"meta": self._meta(), "timings": timings}, indent=2, sort_keys=True)
+            fh.write(tail[2:])  # the members after the opening "{\n"
+            fh.write("\n")
+        elif fmt == "csv":
+            writer = csv.writer(fh)
+            writer.writerow(_CSV_FIELDS)
+            for rec in self.records:
+                witness = "{" + ", ".join(_witness_pairs(rec.witness)) + "}"
+                writer.writerow((rec.check, rec.law, rec.scenario, rec.status, witness))
+        elif fmt == "text":
+            for rec in self.records:
+                fh.write(f"[{rec.status}] {rec.check} {rec.scenario}\n")
+            if not self.records:
+                fh.write("\n")
+        else:
+            raise ValueError(f"unknown report format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -670,12 +726,8 @@ def run_descent_suite(spec: CampaignSpec, records: list[CheckRecord], jobs: int 
         for i, sc in enumerate(scenarios):
             buckets[i % jobs].append(sc)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_check_bucket_worker, [(b, spec.fault) for b in buckets]))
-        merged: list[CheckRecord] = []
-        for chunk in chunks:
-            merged.extend(chunk)
-        merged.sort(key=lambda r: (r.scenario, r.check))
-        records.extend(merged)
+            for chunk in pool.map(_check_bucket_worker, [(b, spec.fault) for b in buckets]):
+                records.extend(chunk)
     else:
         cache: dict = {}
         for sc in scenarios:

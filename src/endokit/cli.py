@@ -353,27 +353,12 @@ def verify(max_rank, orders, q_values, suites, seed, jobs, out, fmt, inject_faul
     except ValueError as exc:
         raise click.UsageError(str(exc))
     path = _out_path(out, "verification-report.json")
-    if fmt == "json":
-        text = report.to_json()
-    else:
-        rows = [r.to_dict() for r in report.records]
-        buf = io.StringIO()
-        if fmt == "csv":
-            writer = csv.DictWriter(buf, fieldnames=["check", "law", "scenario", "status", "witness"])
-            writer.writeheader()
-            for row in rows:
-                row = dict(row)
-                row["witness"] = json.dumps(row["witness"], sort_keys=True)
-                writer.writerow(row)
-            text = buf.getvalue().rstrip("\n")
-        else:
-            text = "\n".join(f"[{r['status']}] {r['check']} {r['scenario']}" for r in rows)
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            report.write(fh, fmt)
         click.echo(f"report written to {path}")
     else:
-        click.echo(text)
+        report.write(sys.stdout, fmt)
     failures = report.failures()
     summary = f"{len(report.records)} checks, {len(failures)} failures"
     click.echo(summary, err=True)

@@ -764,7 +764,8 @@ def _leps_rows_block(outcome: DescentOutcome, amb: Ambient, elem: EStElement) ->
         absorbed = [b for b in blocks if b.bid not in grouped]
         y = core_rank + sum(b.size for b in absorbed)
         if klass == "split" and y == 1:
-            assert core_rank == 0
+            if core_rank:
+                raise InvariantViolation("a degenerate split even part needs an empty core slot")
             v = [0] * len(outcome.blocks)
             for b in absorbed:
                 v[pos[b.bid]] = 1

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import _intlinalg as la
-from .errors import AmbientMismatch, NotCommensurable
+from .errors import AmbientMismatch, InvariantViolation, NotCommensurable
 
 # Bound of each memo table below.  The tables are keyed on canonical values
 # (lattices in Hermite normal form), so a hit returns exactly what the
@@ -89,7 +89,8 @@ class IntLattice:
         cols = [[r[c] for r in rk] for c in range(self.ambient_rank)]
         sat_rows = la.left_kernel(cols, len(rk))
         out = IntLattice(self.ambient_rank, sat_rows)
-        assert out.rank == self.rank
+        if out.rank != self.rank:
+            raise InvariantViolation(f"saturation has rank {out.rank}, not the lattice's rank {self.rank}")
         return out
 
     def is_saturated(self) -> bool:
@@ -307,7 +308,9 @@ class DiagSubgroup:
             raise AmbientMismatch("diagonalizable groups in different ambients")
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+# Four times the common bound: the rank-5 descent corpus meets 23,568
+# distinct intersections, which would overflow MEMO_SIZE.
+@lru_cache(maxsize=4 * MEMO_SIZE)
 def diag_intersect(d1: DiagSubgroup, d2: DiagSubgroup) -> DiagSubgroup:
     d1._check(d2)
     return DiagSubgroup(d1.ambient_rank, d1.vanishing_chars.sum(d2.vanishing_chars))
