@@ -215,24 +215,6 @@ def solve_int(basis: Sequence[Sequence[int]], target: Sequence[int]) -> list[int
     return coords
 
 
-def solve_rat(basis: Sequence[Sequence[int]], target: Sequence[Fraction]) -> list[Fraction] | None:
-    """Rational coordinates of ``target`` in the HNF basis, or None."""
-    v = [Fraction(x) for x in target]
-    n = len(v)
-    coords = [Fraction(0)] * len(basis)
-    for idx, row in enumerate(basis):
-        piv = next((c for c in range(n) if row[c] != 0), None)
-        if piv is None:
-            continue
-        q = v[piv] / row[piv]
-        coords[idx] = q
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    if any(v):
-        return None
-    return coords
-
-
 def det_int(mat: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix.
 

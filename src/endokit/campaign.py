@@ -10,13 +10,16 @@ whole report reproducible byte for byte.
 from __future__ import annotations
 
 import csv
+import heapq
 import itertools
 import json
 import random
 import time
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, TextIO
+from operator import itemgetter
+from typing import TextIO
 
 from . import catalog
 from .catalog import GroupType, LeviDatum, gl, levi_data, levi_enumerate, layout_for, so_even, so_odd, sp, u
@@ -101,40 +104,175 @@ class CheckRecord:
         }
 
 
+# One check's verdict on a scenario shape: (check, law, status, witness),
+# the witness as its (key, value) items sorted by key.
+Verdict = tuple[str, str, str, tuple]
+# One record as the report writes it: (check, law, scenario, status, witness
+# items sorted by key).
+Row = tuple[str, str, str, str, Sequence]
+
+# The checks of one descent outcome and their laws, in the order of every
+# verdict tuple that ``_check_outcome`` returns.
+DESCENT_LAWS = {
+    "sign-rule-vs-descent": "the base-point sign rule reproduces the recomputed descent placement",
+    "pushed-group": "Levi ascent of the twist matches the descended endoscopic group",
+    "instable-coefficient": "instable coefficient over its volume factor is an inverse center index",
+    "stable-coefficient": "stable coefficient over its volume factor is an inverse center index",
+    "coefficient-ratio": "coefficient ratio equals the index between pushed-center intersections",
+    "transverse-volumes-match": "both volume factors agree",
+    "long-short-closed-form": "raw coroot-lattice coefficient matches its closed form",
+    "final-identity": "stable over instable equals the long-short lattice coefficient",
+    "center-product-law": "every Levi center splits as ambient center times identity component",
+    "stable-map-injective": "the stable comparison map is injective",
+    "stable-map-bijective": "the stable comparison map hits the whole stable index set",
+    "instable-map-surjective": "the instable comparison map hits the whole instable index set",
+    "instable-fiber-law": "instable fibers have the predicted center-intersection order",
+    "section-inverts-pushforward": "the canonical section inverts the pushforward",
+    "entry-count": "index set sizes recorded",
+}
+BUILD_CHECK = ("scenario-build", "scenario validates and descends")
+# Check name -> position, for the two layouts a verdict tuple can have: the
+# descent checks, or a lone scenario-build failure.  They differ in length,
+# which is how a tuple's layout is found.
+_LAYOUTS = {
+    len(DESCENT_LAWS): {check: i for i, check in enumerate(DESCENT_LAWS)},
+    1: {BUILD_CHECK[0]: 0},
+}
+
+
+class ScenarioRecords(Sequence):
+    """The descent records of one scenario, built on access from its digest
+    and its shape's verdict tuple; each record gets a witness dict of its
+    own."""
+
+    __slots__ = ("digest", "verdicts")
+
+    def __init__(self, digest: str, verdicts: tuple[Verdict, ...]):
+        self.digest = digest
+        self.verdicts = verdicts
+
+    def __len__(self) -> int:
+        return len(self.verdicts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        check, law, status, witness = self.verdicts[i]
+        return CheckRecord(check, law, self.digest, status, dict(witness))
+
+
+class VerdictStore:
+    """The descent suite's verdicts: one ``(digest, verdicts)`` pair per
+    scenario, sorted by digest.  ``verdicts`` is the tuple ``_check_outcome``
+    returned for the scenario's shape, held once and shared by every scenario
+    of that shape, or a lone scenario-build failure."""
+
+    def __init__(self, pairs: Iterable[tuple[str, tuple[Verdict, ...]]]):
+        self.pairs = sorted(pairs, key=itemgetter(0))
+        self.record_count = sum(len(v) for _, v in self.pairs)
+        shapes = {id(v): v for _, v in self.pairs}.values()
+        self.passed = all(status == "pass" for v in shapes for _, _, status, _ in v)
+        self.checks = {check for v in shapes for check in _LAYOUTS[len(v)]}
+
+    def rows(self, check: str) -> Iterator[Row]:
+        """The records of ``check``, by digest: one pass over the pairs."""
+        positions = {size: layout.get(check) for size, layout in _LAYOUTS.items()}
+        for digest, verdicts in self.pairs:
+            i = positions[len(verdicts)]
+            if i is not None:
+                _, law, status, witness = verdicts[i]
+                yield check, law, digest, status, witness
+
+
 _enc = json.encoder.encode_basestring_ascii
 _CSV_FIELDS = ("check", "law", "scenario", "status", "witness")
 
 
-def _witness_pairs(witness: dict) -> list[str]:
-    """``"key": "value"`` JSON members of a witness, by sorted key, each value
+def _witness_pairs(witness: Sequence) -> list[str]:
+    """``"key": "value"`` JSON members of a witness's sorted items, each value
     as its ``str``; the members of ``CheckRecord.to_dict()["witness"]``."""
-    return [f"{_enc(k)}: {_enc(str(witness[k]))}" for k in sorted(witness)]
+    return [f"{_enc(k)}: {_enc(str(v))}" for k, v in witness]
 
 
-def _json_record(rec: CheckRecord) -> str:
+def _json_record(check: str, law: str, scenario: str, status: str, witness: Sequence) -> str:
     """One element of the report's ``checks`` list, laid out as
     ``json.dumps(..., indent=2, sort_keys=True)`` lays it out at that depth."""
-    pairs = _witness_pairs(rec.witness)
+    pairs = _witness_pairs(witness)
     witness = "{\n        " + ",\n        ".join(pairs) + "\n      }" if pairs else "{}"
     return (
-        f'    {{\n      "check": {_enc(rec.check)},\n      "law": {_enc(rec.law)},\n'
-        f'      "scenario": {_enc(rec.scenario)},\n      "status": {_enc(rec.status)},\n'
+        f'    {{\n      "check": {_enc(check)},\n      "law": {_enc(law)},\n'
+        f'      "scenario": {_enc(scenario)},\n      "status": {_enc(status)},\n'
         f'      "witness": {witness}\n    }}'
     )
 
 
-@dataclass
+class _Records:
+    """``VerificationReport.records``: every record, in report order, as a
+    fresh ``CheckRecord``."""
+
+    def __init__(self, report: "VerificationReport"):
+        self._report = report
+
+    def __len__(self) -> int:
+        return self._report.record_count
+
+    def __iter__(self) -> Iterator[CheckRecord]:
+        for check, law, scenario, status, witness in self._report.rows():
+            yield CheckRecord(check, law, scenario, status, dict(witness))
+
+
 class VerificationReport:
-    spec: CampaignSpec
-    records: list[CheckRecord] = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
+    """A campaign's records: ``records`` in report order, and, if the campaign
+    ran the descent suite, its verdict store.  With a store, ``records`` must
+    be sorted by ``(check, scenario)``; the report order merges the two by
+    that key."""
+
+    def __init__(
+        self,
+        spec: CampaignSpec,
+        records: list[CheckRecord] | None = None,
+        timings: dict[str, float] | None = None,
+        descent: VerdictStore | None = None,
+    ):
+        self.spec = spec
+        self._records = [] if records is None else records
+        self.timings = {} if timings is None else timings
+        self.descent = descent
+
+    @property
+    def records(self) -> _Records:
+        return _Records(self)
+
+    @property
+    def record_count(self) -> int:
+        return len(self._records) + (0 if self.descent is None else self.descent.record_count)
 
     @property
     def passed(self) -> bool:
-        return all(r.status == "pass" for r in self.records)
+        return all(r.status == "pass" for r in self._records) and (self.descent is None or self.descent.passed)
 
     def failures(self) -> list[CheckRecord]:
+        if self.passed:
+            return []
         return [r for r in self.records if r.status != "pass"]
+
+    def rows(self) -> Iterator[Row]:
+        """Every record as a ``Row``, in report order: per check name, the
+        listed records merged by scenario with the store's, which come as one
+        pass over its pairs."""
+        listed = ((r.check, r.law, r.scenario, r.status, sorted(r.witness.items())) for r in self._records)
+        if self.descent is None:
+            yield from listed
+            return
+        by_check: dict[str, list[Row]] = {}
+        for row in listed:
+            by_check.setdefault(row[0], []).append(row)
+        for check in sorted(by_check.keys() | self.descent.checks):
+            stored = self.descent.rows(check) if check in self.descent.checks else ()
+            if check in by_check:
+                yield from heapq.merge(by_check[check], stored, key=itemgetter(2))
+            else:
+                yield from stored
 
     def _meta(self) -> dict:
         return {
@@ -144,7 +282,7 @@ class VerificationReport:
             "suites": list(self.spec.suites),
             "seed": self.spec.seed,
             "complexity": self.spec.complexity_note(),
-            "record_count": len(self.records),
+            "record_count": self.record_count,
             "all_passed": self.passed,
         }
 
@@ -167,11 +305,11 @@ class VerificationReport:
         if fmt == "json":
             fh.write('{\n  "checks": [')
             sep = "\n"
-            for rec in self.records:
+            for row in self.rows():
                 fh.write(sep)
-                fh.write(_json_record(rec))
+                fh.write(_json_record(*row))
                 sep = ",\n"
-            fh.write("\n  ],\n" if self.records else "],\n")
+            fh.write("\n  ],\n" if self.record_count else "],\n")
             timings = {k: round(v, 3) for k, v in self.timings.items()}
             tail = json.dumps({"meta": self._meta(), "timings": timings}, indent=2, sort_keys=True)
             fh.write(tail[2:])  # the members after the opening "{\n"
@@ -179,13 +317,12 @@ class VerificationReport:
         elif fmt == "csv":
             writer = csv.writer(fh)
             writer.writerow(_CSV_FIELDS)
-            for rec in self.records:
-                witness = "{" + ", ".join(_witness_pairs(rec.witness)) + "}"
-                writer.writerow((rec.check, rec.law, rec.scenario, rec.status, witness))
+            for check, law, scenario, status, witness in self.rows():
+                writer.writerow((check, law, scenario, status, "{" + ", ".join(_witness_pairs(witness)) + "}"))
         elif fmt == "text":
-            for rec in self.records:
-                fh.write(f"[{rec.status}] {rec.check} {rec.scenario}\n")
-            if not self.records:
+            for check, _, scenario, status, _ in self.rows():
+                fh.write(f"[{status}] {check} {scenario}\n")
+            if not self.record_count:
                 fh.write("\n")
         else:
             raise ValueError(f"unknown report format {fmt!r}")
@@ -630,121 +767,111 @@ def outcome_shape(outcome: DescentOutcome) -> tuple:
 
 def check_scenario(
     sc: DescentScenario, fault: str | None = None, shape_cache: dict | None = None
-) -> list[CheckRecord]:
+) -> ScenarioRecords:
     """All descent-layer checks of one scenario.
 
-    With a shape cache, scenarios of equal combinatorial shape reuse the
-    computed verdicts verbatim (the checks only consume the shape).
+    With a shape cache, scenarios of equal combinatorial shape share the
+    verdict tuple computed for the first of them (the checks only consume the
+    shape).
     """
-    records: list[CheckRecord] = []
     digest = sc.digest()
     try:
         outcome = descend(sc)
     except EndokitError as exc:
-        _rec(records, "scenario-build", "scenario validates and descends", digest, False, {"error": exc})
-        return records
+        return ScenarioRecords(digest, ((*BUILD_CHECK, "fail", (("error", exc),)),))
     if fault == "corrupt-sbar0":
         outcome = _corrupt_sbar0(outcome)
-    if shape_cache is not None:
-        key = outcome_shape(outcome)
-        cached = shape_cache.get(key)
-        if cached is None:
-            cached = _check_outcome(outcome)
-            shape_cache[key] = cached
-        return [CheckRecord(c, law, digest, status, dict(w)) for c, law, status, w in cached]
-    return [
-        CheckRecord(c, law, digest, status, dict(w)) for c, law, status, w in _check_outcome(outcome)
-    ]
+    if shape_cache is None:
+        return ScenarioRecords(digest, _check_outcome(outcome))
+    key = outcome_shape(outcome)
+    verdicts = shape_cache.get(key)
+    if verdicts is None:
+        verdicts = shape_cache[key] = _check_outcome(outcome)
+    return ScenarioRecords(digest, verdicts)
 
 
-def _check_outcome(outcome: DescentOutcome) -> list[tuple[str, str, str, dict]]:
-    raw: list[tuple[str, str, str, dict]] = []
-
-    def add(check: str, law: str, ok: bool, witness: dict | None = None) -> None:
-        raw.append((check, law, "pass" if ok else "fail", witness or {}))
-
+def _check_outcome(outcome: DescentOutcome) -> tuple[Verdict, ...]:
+    """The verdicts of every descent check on one outcome, laid out as
+    ``DESCENT_LAWS``."""
+    ok: dict[str, bool] = {}
+    witness: dict[str, dict] = {}
     amb = Ambient(outcome)
 
-    compat_ok = True
-    compat_witness: dict = {}
-    pushed_ok = True
+    ok["sign-rule-vs-descent"] = ok["pushed-group"] = True
     for t in itertools.product((1, -1), repeat=outcome.i_count):
         if not compatibility_check(outcome, t):
-            compat_ok = False
-            compat_witness = {"t": t}
+            ok["sign-rule-vs-descent"] = False
+            witness["sign-rule-vs-descent"] = {"t": t}
         if not pushed_group_check(outcome, amb, t):
-            pushed_ok = False
-    add("sign-rule-vs-descent", "the base-point sign rule reproduces the recomputed descent placement",
-        compat_ok, compat_witness)
-    add("pushed-group", "Levi ascent of the twist matches the descended endoscopic group", pushed_ok)
+            ok["pushed-group"] = False
 
     entries = enumerate_E_natural(outcome, amb)
-    ent_ok: dict[str, bool] = {}
-    witness: dict[str, dict] = {}
     for entry in entries:
-        for key, ok in verify_identities(outcome, amb, entry).items():
-            ent_ok[key] = ent_ok.get(key, True) and ok
-            if not ok and key not in witness:
+        for key, good in verify_identities(outcome, amb, entry).items():
+            ok[key] = ok.get(key, True) and good
+            if not good and key not in witness:
                 witness[key] = {
                     "t": entry.t,
                     "groups": entry.levi.groups,
                     "c_inst": entry.c_inst_rat,
                     "c_st": entry.c_st_rat,
                 }
-    laws = {
-        "instable-coefficient": "instable coefficient over its volume factor is an inverse center index",
-        "stable-coefficient": "stable coefficient over its volume factor is an inverse center index",
-        "coefficient-ratio": "coefficient ratio equals the index between pushed-center intersections",
-        "transverse-volumes-match": "both volume factors agree",
-        "long-short-closed-form": "raw coroot-lattice coefficient matches its closed form",
-        "final-identity": "stable over instable equals the long-short lattice coefficient",
-        "center-product-law": "every Levi center splits as ambient center times identity component",
-    }
-    for key, law in laws.items():
-        add(key, law, ent_ok.get(key, True), witness.get(key, {}))
-
-    idx = verify_index_sets(outcome, amb, entries)
-    idx_laws = {
-        "stable-map-injective": "the stable comparison map is injective",
-        "stable-map-bijective": "the stable comparison map hits the whole stable index set",
-        "instable-map-surjective": "the instable comparison map hits the whole instable index set",
-        "instable-fiber-law": "instable fibers have the predicted center-intersection order",
-        "section-inverts-pushforward": "the canonical section inverts the pushforward",
-    }
-    for key, law in idx_laws.items():
-        add(key, law, idx[key])
-    add("entry-count", "index set sizes recorded", True, {"e_natural": len(entries)})
-    return raw
+    ok.update(verify_index_sets(outcome, amb, entries))
+    witness["entry-count"] = {"e_natural": len(entries)}
+    return tuple(
+        (check, law, "pass" if ok.get(check, True) else "fail", tuple(sorted(witness.get(check, {}).items())))
+        for check, law in DESCENT_LAWS.items()
+    )
 
 
-def run_descent_suite(spec: CampaignSpec, records: list[CheckRecord], jobs: int = 1) -> None:
-    scenarios = list(scenario_corpus(spec))
+def _scenario_pairs(scenarios: Iterable[DescentScenario], fault: str | None) -> list[tuple[str, tuple[Verdict, ...]]]:
+    """``(digest, verdicts)`` of each scenario, through one shape cache."""
+    cache: dict = {}
+    pairs = []
+    for sc in scenarios:
+        got = check_scenario(sc, fault, cache)
+        pairs.append((got.digest, got.verdicts))
+    return pairs
+
+
+def _shards(scenarios: Iterable[DescentScenario], jobs: int) -> list[list[DescentScenario]]:
+    """At most ``jobs`` non-empty shards of the scenarios, each holding whole
+    groups of equal Levi ``sizes``.  ``outcome_shape`` contains the sizes, so
+    no shape is checked in two shards.  Groups are dealt largest first, ties
+    by sizes, each to the shard with the fewest scenarios so far."""
+    groups: dict[tuple[int, ...], list[DescentScenario]] = {}
+    for sc in scenarios:
+        groups.setdefault(sc.sizes, []).append(sc)
+    shards: list[list[DescentScenario]] = [[] for _ in range(jobs)]
+    for sizes in sorted(groups, key=lambda s: (-len(groups[s]), s)):
+        min(shards, key=len).extend(groups[sizes])
+    return [shard for shard in shards if shard]
+
+
+def run_descent_suite(spec: CampaignSpec, jobs: int = 1) -> VerdictStore:
+    scenarios = scenario_corpus(spec)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        buckets: list[list[DescentScenario]] = [[] for _ in range(jobs)]
-        for i, sc in enumerate(scenarios):
-            buckets[i % jobs].append(sc)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_check_bucket_worker, [(b, spec.fault) for b in buckets]):
-                records.extend(chunk)
-    else:
-        cache: dict = {}
-        for sc in scenarios:
-            records.extend(check_scenario(sc, spec.fault, cache))
+        shards = _shards(scenarios, jobs)
+        if not shards:
+            return VerdictStore(())
+        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
+            chunks = pool.map(_check_bucket_worker, [(shard, spec.fault) for shard in shards])
+            return VerdictStore(pair for chunk in chunks for pair in chunk)
+    return VerdictStore(_scenario_pairs(scenarios, spec.fault))
 
 
-def _check_bucket_worker(args: tuple[list[DescentScenario], str | None]) -> list[CheckRecord]:
-    bucket, fault = args
-    cache: dict = {}
-    out: list[CheckRecord] = []
-    for sc in bucket:
-        out.extend(check_scenario(sc, fault, cache))
-    return out
+def _check_bucket_worker(args: tuple[list[DescentScenario], str | None]) -> list[tuple[str, tuple[Verdict, ...]]]:
+    """A pool task: the ``(digest, verdicts)`` pairs of one shard.  Pickle's
+    memo sends each shape's verdict tuple once."""
+    return _scenario_pairs(*args)
 
 
 def run_campaign(spec: CampaignSpec, jobs: int = 1) -> VerificationReport:
-    report = VerificationReport(spec)
+    records: list[CheckRecord] = []
+    timings: dict[str, float] = {}
+    descent = None
     suite_runners = {
         "counts": run_counts_suite,
         "nonstandard": run_nonstandard_suite,
@@ -756,11 +883,11 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> VerificationReport:
     for suite in spec.suites:
         t0 = time.time()
         if suite == "descent":
-            run_descent_suite(spec, report.records, jobs=jobs)
+            descent = run_descent_suite(spec, jobs=jobs)
         elif suite in suite_runners:
-            suite_runners[suite](spec, report.records)
+            suite_runners[suite](spec, records)
         else:
             raise ValueError(f"unknown suite {suite!r}")
-        report.timings[suite] = time.time() - t0
-    report.records.sort(key=lambda r: (r.check, r.scenario))
-    return report
+        timings[suite] = time.time() - t0
+    records.sort(key=lambda r: (r.check, r.scenario))
+    return VerificationReport(spec, records, timings, descent)

@@ -166,7 +166,7 @@ def eset(block_count: int | None, sizes: str | None, m: int, s0: str | None, fmt
                 "group": gos.group.display(),
             }
         )
-    _emit(rows, fmt, _out_path(out, "eset.{fmt}"))
+    _emit(rows, fmt, _out_path(out, f"eset.{fmt}"))
 
 
 @main.command()
@@ -197,7 +197,7 @@ def correspond(gamma_prime: str, gamma_dblprime: str, lie: bool, fmt: str, out: 
         click.echo(f"domain error: {exc}", err=True)
         sys.exit(EXIT_DOMAIN_ERROR)
     rows = [{"image": ",".join(sc_str(x) for x in image.entries) or "-"}]
-    _emit(rows, fmt, _out_path(out, "correspond.{fmt}"))
+    _emit(rows, fmt, _out_path(out, f"correspond.{fmt}"))
 
 
 @main.command()
@@ -274,7 +274,7 @@ def coeff(kind, n, sizes, m, s0, signs, ambient, even_class, dbl_side, dim, am, 
     except (EndokitError, ValueError) as exc:
         click.echo(f"domain error: {exc}", err=True)
         sys.exit(EXIT_DOMAIN_ERROR)
-    _emit(rows, fmt, _out_path(out, "coeff.{fmt}"))
+    _emit(rows, fmt, _out_path(out, f"coeff.{fmt}"))
 
 
 @main.command()
@@ -320,7 +320,7 @@ def descend_cmd(scenario_path: str, fmt: str, out: str | None) -> None:
     idx = verify_index_sets(outcome, amb, entries)
     failed = failed or not all(idx.values())
     rows.append({"object": "index-maps", "detail": json.dumps(idx, sort_keys=True)})
-    _emit(rows, fmt, _out_path(out, "descend.{fmt}"))
+    _emit(rows, fmt, _out_path(out, f"descend.{fmt}"))
     if failed:
         sys.exit(EXIT_IDENTITY_FAILURE)
 
@@ -352,7 +352,7 @@ def verify(max_rank, orders, q_values, suites, seed, jobs, out, fmt, inject_faul
         report = run_campaign(spec, jobs=jobs)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    path = _out_path(out, "verification-report.json")
+    path = _out_path(out, f"verification-report.{fmt}")
     if path:
         with open(path, "w") as fh:
             report.write(fh, fmt)

@@ -537,20 +537,6 @@ class DescentOutcome:
         fs += [sp(self.x_prime + self.y_dbl), sp(self.x_dbl + self.y_prime)]
         return GroupType(tuple(fs))
 
-    def m_eta(self) -> GroupType:
-        fs = [gl(b.size, b.ext) for b in self.blocks if b.origin == "levi"]
-        fs += [u(s.k_bar, s.d) for s in self.u_slots if s.k_bar]
-        pair_ranks: dict[tuple, int] = {}
-        for b in self.blocks:
-            if b.origin in ("pair_prime", "pair_dbl"):
-                pair_ranks[b.home] = pair_ranks.get(b.home, 0) + b.size
-        ext_of = {b.home: b.ext for b in self.blocks if b.origin in ("pair_prime", "pair_dbl")}
-        fs += [gl(k, ext_of[h]) for h, k in sorted(pair_ranks.items(), key=lambda kv: kv[0][1])]
-        w_plus = self.x_prime + self.y_dbl + (1 if self.pulled_dbl else 0)
-        w_minus = self.x_dbl + self.y_prime + (1 if self.pulled_prime else 0)
-        fs += [sp(w_plus), sp(w_minus)]
-        return GroupType(tuple(fs))
-
     def mexc(self) -> GroupType:
         """The matched centralizer on the endoscopic side, before any pull."""
         fs = [gl(b.size, b.ext) for b in self.blocks if b.origin in ("levi", "pair_prime", "pair_dbl")]
@@ -836,10 +822,6 @@ def compatibility_check(outcome: DescentOutcome, t: Sequence[int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # the two independent group computations for the pushed datum
-
-
-def _merge_factor_list(parts: Iterable[tuple[FactorType, object]]) -> GroupType:
-    return GroupType(tuple(f for f, _ in parts))
 
 
 def gs_descended_types(

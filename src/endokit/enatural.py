@@ -53,7 +53,7 @@ from .lattices import (
     diag_intersect,
 )
 from .nonstandard import c_nonstandard_quotient
-from .qspaces import DSquared, QSubspace
+from .qspaces import DSquared
 
 Group = tuple[tuple[int, int], ...]
 
@@ -239,49 +239,6 @@ class Ambient:
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
-
-    # -- vectors --------------------------------------------------------------
-
-    def v_block(self, bid: int) -> tuple[Fraction, ...]:
-        v = [Fraction(0)] * self.n
-        for c in self.bc[bid]:
-            v[c] = Fraction(1)
-        return tuple(v)
-
-    def v_coords(self, coords: Iterable[int]) -> tuple[Fraction, ...]:
-        v = [Fraction(0)] * self.n
-        for c in coords:
-            v[c] = Fraction(1)
-        return tuple(v)
-
-    def a_r(self) -> QSubspace:
-        return self._cached(
-            "a_r",
-            lambda: QSubspace.span(self.n, [self.v_block(b.bid) for b in self.outcome.blocks]),
-        )
-
-    def a_m(self) -> QSubspace:
-        def build() -> QSubspace:
-            vecs = []
-            for i in sorted(self.owners):
-                v = [Fraction(0)] * self.n
-                for bid in self.owners[i]:
-                    for c in self.bc[bid]:
-                        v[c] = Fraction(1)
-                vecs.append(tuple(v))
-            return QSubspace.span(self.n, vecs)
-
-        return self._cached("a_m", build)
-
-    def a_group(self, grp: Group) -> tuple[Fraction, ...]:
-        v = [Fraction(0)] * self.n
-        for bid, e in grp:
-            for c in self.bc[bid]:
-                v[c] = Fraction(e)
-        return tuple(v)
-
-    def a_l(self, levi: GEtaLevi) -> QSubspace:
-        return QSubspace.span(self.n, [self.a_group(g) for g in levi.groups])
 
     def d_g(self, levi: GEtaLevi) -> DSquared:
         key = ("d_g", levi)
@@ -484,17 +441,6 @@ class Ambient:
                 rows.extend(center_rows("none", allc))
             else:
                 rows.extend(center_rows("mu2", allc))
-        return self._assemble(rows)
-
-    def z_l0(self, levi: GEtaLevi) -> DiagSubgroup:
-        rows: list = []
-        covered: set[int] = set()
-        for grp in levi.groups:
-            rows.extend(self._group_rows(grp))
-            for bid, _ in grp:
-                covered.update(self.bc[bid])
-        rest = tuple(c for c in range(self.n) if c not in covered)
-        rows.extend(center_rows("none", rest))
         return self._assemble(rows)
 
     def _core_datum_coords(
@@ -771,19 +717,6 @@ def _leps_rows_block(outcome: DescentOutcome, amb: Ambient, elem: EStElement) ->
                 v[pos[b.bid]] = 1
             rows.append(tuple(v))
     return rows
-
-
-def a_leps(outcome: DescentOutcome, amb: Ambient, elem: EStElement) -> QSubspace:
-    """Split-center space of a stable-side Levi, as a rational subspace."""
-    vecs = []
-    for row in _leps_rows_block(outcome, amb, elem):
-        v = [Fraction(0)] * amb.n
-        for b, coef in zip(outcome.blocks, row):
-            if coef:
-                for c in amb.bc[b.bid]:
-                    v[c] = Fraction(coef)
-        vecs.append(v)
-    return QSubspace.span(amb.n, vecs)
 
 
 def d_gs_side(outcome: DescentOutcome, amb: Ambient, elem: EStElement) -> DSquared:

@@ -93,29 +93,6 @@ class IntLattice:
             raise InvariantViolation(f"saturation has rank {out.rank}, not the lattice's rank {self.rank}")
         return out
 
-    def is_saturated(self) -> bool:
-        return self == self.saturation()
-
-    def index_in(self, bigger: "IntLattice") -> int:
-        """[bigger : self] for a finite-index sublattice (equal Q-span)."""
-        self._check(bigger)
-        if self.rank != bigger.rank:
-            raise NotCommensurable("lattices of different rank")
-        coords = []
-        for g in self.generators:
-            c = la.solve_rat(bigger.generators, [Fraction(x) for x in g])
-            if c is None:
-                raise NotCommensurable("lattice is not contained in the claimed superlattice's span")
-            if any(x.denominator != 1 for x in c):
-                raise NotCommensurable("lattice is not a sublattice of the claimed superlattice")
-            coords.append([int(x) for x in c])
-        if not coords:
-            return 1
-        d = la.det_int(coords)
-        if d == 0:
-            raise NotCommensurable("degenerate coordinate matrix")
-        return abs(d)
-
     def _check(self, other: "IntLattice") -> None:
         if self.ambient_rank != other.ambient_rank:
             raise AmbientMismatch("lattices in different ambients")

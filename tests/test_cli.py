@@ -179,3 +179,35 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--max-rank", "1", "--suites", "goldens"])
         assert result.exit_code == 0
         assert (tmp_path / "verification-report.json").exists()
+
+
+class TestDefaultOutputNames:
+    """With ``ENDOKIT_OUT_DIR`` set and no ``--out``, each command writes
+    ``<name>.<format>`` into that directory."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("eset", ["eset", "--i", "1", "--m", "1"]),
+            ("correspond", ["correspond", "--gamma-prime", "2,1,1/2", "--gamma-dblprime", "1"]),
+            ("coeff", ["coeff", "--kind", "c-nonstandard", "--n", "2", "--sizes", "1", "--m", "1"]),
+            ("verification-report", ["verify", "--max-rank", "1", "--suites", "goldens"]),
+        ],
+    )
+    def test_named_after_the_format(self, runner, tmp_path, monkeypatch, name, args, fmt):
+        monkeypatch.setenv("ENDOKIT_OUT_DIR", str(tmp_path))
+        result = runner.invoke(main, args + ["--format", fmt])
+        assert result.exit_code == 0, result.output
+        assert [p.name for p in tmp_path.iterdir()] == [f"{name}.{fmt}"]
+        if fmt == "json":
+            json.loads((tmp_path / f"{name}.{fmt}").read_text())
+
+    def test_descend(self, runner, tmp_path, monkeypatch, scenario_file):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        monkeypatch.setenv("ENDOKIT_OUT_DIR", str(out_dir))
+        result = runner.invoke(main, ["descend", "--scenario", scenario_file, "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        assert [p.name for p in out_dir.iterdir()] == ["descend.csv"]
+        assert (out_dir / "descend.csv").read_text().startswith("object,detail\n")

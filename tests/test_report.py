@@ -151,7 +151,7 @@ def test_write_peak_is_a_tenth_of_the_output(faulted_rank2, fmt, tmp_path):
 def test_write_peak_does_not_grow_with_records(faulted_rank2, fmt, tmp_path):
     peak, size = traced_write(faulted_rank2, fmt, tmp_path / "report")
     rep = faulted_rank2
-    fourfold = VerificationReport(rep.spec, rep.records * 4, rep.timings)
+    fourfold = VerificationReport(rep.spec, list(rep.records) * 4, rep.timings)
     peak4, size4 = traced_write(fourfold, fmt, tmp_path / "report4")
     assert size4 > 3 * size
     assert peak4 < peak + 0.1 * size, f"peak {peak} -> {peak4} bytes for {size} -> {size4} bytes written"
