@@ -1,14 +1,13 @@
-"""Exact linear algebra over Z and Q used by the lattice layer.
+"""Exact linear algebra over Z: the one elimination kernel of the package.
 
-Everything here works on plain lists/tuples of Python ints or Fractions;
-matrices are row-major.  All algorithms are classical fraction-free or
-Euclidean eliminations, adequate for the small dense matrices (rank <= ~20)
-this package manipulates.
+Everything here works on plain lists/tuples of Python ints; matrices are
+row-major.  All algorithms are classical fraction-free or Euclidean
+eliminations, adequate for the small dense matrices (rank <= ~20) this
+package manipulates.  Rational inputs are scaled to integers by the caller.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 IntRow = tuple[int, ...]
@@ -241,81 +240,3 @@ def det_int(mat: Sequence[Sequence[int]]) -> int:
                 row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
         prev = akk
     return sign * a[n - 1][n - 1] if n else 1
-
-
-# ---------------------------------------------------------------------------
-# rational matrices
-
-FracRow = tuple[Fraction, ...]
-
-
-def rref(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[FracRow, ...]:
-    """Reduced row echelon form over Q; returns the nonzero rows."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    m = len(a)
-    row = 0
-    for col in range(ncols):
-        if row == m:
-            break
-        piv = next((i for i in range(row, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(m):
-            if i != row and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        row += 1
-    return tuple(tuple(r) for r in a if any(r))
-
-
-def rat_solve(rows: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> list[Fraction] | None:
-    """Solve sum_i x_i * rows[i] == target over Q, or None if inconsistent."""
-    if not rows:
-        return [] if not any(target) else None
-    n = len(target)
-    aug = [[Fraction(rows[i][c]) for i in range(len(rows))] + [Fraction(target[c])] for c in range(n)]
-    red = [list(r) for r in rref(aug, len(rows) + 1)]
-    sol = [Fraction(0)] * len(rows)
-    for r in red:
-        piv = next((c for c in range(len(rows) + 1) if r[c] != 0), None)
-        if piv is None:
-            continue
-        if piv == len(rows):
-            return None
-        sol[piv] = r[len(rows)]
-        for c in range(piv + 1, len(rows)):
-            if r[c] != 0:
-                # free variables are set to zero, so fold nothing in
-                pass
-    # verify (guards against underdetermined bookkeeping errors)
-    for c in range(n):
-        acc = sum((sol[i] * rows[i][c] for i in range(len(rows))), Fraction(0))
-        if acc != target[c]:
-            return None
-    return sol
-
-
-def rat_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[FracRow, ...]:
-    """Basis of {x : x @ rows == 0} over Q (rows indexed by x)."""
-    m = len(rows)
-    if m == 0:
-        return ()
-    # kernel of the transpose-multiplication: solve sum x_i rows[i] = 0
-    aug = [[Fraction(rows[i][c]) for i in range(m)] for c in range(ncols)]
-    red = rref(aug, m)
-    pivots = []
-    for r in red:
-        piv = next(c for c in range(m) if r[c] != 0)
-        pivots.append(piv)
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * m
-        vec[f] = Fraction(1)
-        for r, piv in zip(red, pivots):
-            vec[piv] = -r[f]
-        basis.append(tuple(vec))
-    return tuple(basis)

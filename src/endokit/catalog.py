@@ -205,30 +205,30 @@ def layout_for(g: GroupType) -> CoordinateLayout:
 # blockwise center construction
 
 
-def center_rows(tag: str, coords: Sequence[int]) -> list[tuple[int, ...] | list[int]]:
+def center_rows(tag: str, coords: Sequence[int]) -> list[list[tuple[int, int]]]:
     """Vanishing-character rows for one diagonal piece supported on ``coords``.
 
     ``tag``: "torus" = diagonal C^*, "mu2" = diagonal mu_2, "none" = trivial
     subgroup (all characters vanish), "free" = full torus (no condition).
-    Rows are returned as dense vectors over the caller's ambient via a
-    closure-free convention: the caller must embed them (see _embed).
+    Rows are sparse (coord, value) pairs; :func:`assemble_diag` densifies
+    them over the caller's ambient.
     """
     w = len(coords)
-    rows: list[list[int]] = []
+    rows: list[list[tuple[int, int]]] = []
     if tag == "free" or w == 0:
         return rows
     if tag == "torus":
         for a, b in zip(coords, coords[1:]):
-            rows.append([(a, 1), (b, -1)])  # type: ignore[list-item]
-        return rows  # sparse (coord, value) pairs
+            rows.append([(a, 1), (b, -1)])
+        return rows
     if tag == "mu2":
         for a, b in zip(coords, coords[1:]):
-            rows.append([(a, 1), (b, -1)])  # type: ignore[list-item]
-        rows.append([(coords[-1], 2)])  # type: ignore[list-item]
+            rows.append([(a, 1), (b, -1)])
+        rows.append([(coords[-1], 2)])
         return rows
     if tag == "none":
         for c in coords:
-            rows.append([(c, 1)])  # type: ignore[list-item]
+            rows.append([(c, 1)])
         return rows
     raise ValueError(f"unknown center tag {tag!r}")
 

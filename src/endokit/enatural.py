@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from ._intlinalg import det_int, left_kernel
+from ._intlinalg import det_int
 from .catalog import (
     GroupType,
     assemble_diag,
@@ -53,31 +53,9 @@ from .lattices import (
     diag_intersect,
 )
 from .nonstandard import c_nonstandard_quotient
-from .qspaces import DSquared
+from .qspaces import DSquared, QForm, QSubspace, d_coefficient
 
 Group = tuple[tuple[int, int], ...]
-
-
-def _rank_full(rows: list, n: int) -> bool:
-    """Whether the integer rows span a rank-n space (plain elimination)."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return False
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        lead = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [lead * x - f * y for x, y in zip(mat[i], mat[rank])]
-        rank += 1
-    return True
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -87,30 +65,8 @@ def _d_squared(
     """Squared volume distortion of the block-coordinate spaces spanned by
     ``rows_m`` and ``rows_l``, for blocks of widths ``w``."""
     nb = len(w)
-    if len(rows_m) + len(rows_l) != nb or not _rank_full(list(rows_m) + list(rows_l), nb):
-        return DSquared(Fraction(0))
-
-    def complement(rows_s: Sequence[Sequence[int]]) -> list[list[int]]:
-        if not rows_s:
-            return [[int(i == j) for j in range(nb)] for i in range(nb)]
-        pairing = [[w[i] * s[i] for s in rows_s] for i in range(nb)]
-        ker = left_kernel(pairing, len(rows_s))
-        return [list(k) for k in ker]
-
-    u_rows = complement(rows_m)
-    v_rows = complement(rows_l)
-    both = u_rows + v_rows
-
-    def gram_det(rows: Sequence[Sequence[int]]) -> int:
-        g = [
-            [sum(w[c] * r1[c] * r2[c] for c in range(nb)) for r2 in rows]
-            for r1 in rows
-        ]
-        return det_int(g)
-
-    num = gram_det(both)
-    den = gram_det(u_rows) * gram_det(v_rows)
-    return DSquared(Fraction(num, den))
+    form = QForm(tuple(tuple(w[i] if i == j else 0 for j in range(nb)) for i in range(nb)))
+    return d_coefficient(QSubspace(nb, rows_m), QSubspace(nb, rows_l), QSubspace.full(nb), form)
 
 
 def _normalize_group(pairs: Iterable[tuple[int, int]]) -> Group:
@@ -288,7 +244,7 @@ class Ambient:
         m_rows = self._m_rows_block()
         if len(m_rows) + len(g_rows) != n_blocks:
             return False
-        return _rank_full(list(m_rows) + g_rows, n_blocks)
+        return det_int(list(m_rows) + g_rows) != 0
 
     # -- home bookkeeping -------------------------------------------------------
 
@@ -326,9 +282,6 @@ class Ambient:
             return self._assemble(rows)
 
         return self._cached("z_meta_m", build)
-
-    def z_mexc0(self) -> DiagSubgroup:
-        return self.z_meta_m()
 
     def z_mexc(self) -> DiagSubgroup:
         def build() -> DiagSubgroup:
@@ -381,9 +334,6 @@ class Ambient:
             return self._assemble(rows)
 
         return self._cached("z_r0", build)
-
-    def z_mexceps0(self) -> DiagSubgroup:
-        return self.z_r0()
 
     def z_mexcbar(self) -> DiagSubgroup:
         def build() -> DiagSubgroup:
@@ -973,19 +923,19 @@ def verify_identities(
     z_l = amb.z_l(levi)
     z_lsbar = amb.z_pushed(levi, t, odd_side=False)
     z_leps = amb.z_pushed(levi, t, odd_side=True)
-    z_mexc0 = amb.z_mexc0()
+    z_meta_m = amb.z_meta_m()
     triv = DiagSubgroup.trivial(amb.n)
 
     checks: dict[str, bool] = {}
     checks["instable-coefficient"] = entry.c_inst_rat == Fraction(
-        1, _finite_order(diag_intersect(z_lsbar, z_mexc0))
+        1, _finite_order(diag_intersect(z_lsbar, z_meta_m))
     )
     checks["stable-coefficient"] = entry.c_st_rat == Fraction(
-        1, _finite_order(diag_intersect(z_leps, z_mexc0))
+        1, _finite_order(diag_intersect(z_leps, z_meta_m))
     )
     ratio = diag_index(
-        diag_intersect(z_leps, amb.z_mexceps0()),
-        diag_intersect(z_lsbar, amb.z_mexceps0()),
+        diag_intersect(z_leps, amb.z_r0()),
+        diag_intersect(z_lsbar, amb.z_r0()),
     )
     checks["coefficient-ratio"] = entry.c_inst_rat / entry.c_st_rat == ratio
     checks["transverse-volumes-match"] = entry.dsq == entry.dsq_st
@@ -1003,9 +953,9 @@ def verify_identities(
                 ("z_l product", levi), lambda: arthur_product_check(z_l, amb.z_r(), amb.z_r0())
             ),
             arthur_product_check(z_lsbar, amb.z_mexcbar(), amb.z_r0()),
-            arthur_product_check(z_leps, amb.z_mexceps(), amb.z_mexceps0()),
+            arthur_product_check(z_leps, amb.z_mexceps(), amb.z_r0()),
             amb._cached(
-                ("z_gs product", t), lambda: arthur_product_check(amb.z_gs(t), amb.z_mexc(), amb.z_mexc0())
+                ("z_gs product", t), lambda: arthur_product_check(amb.z_gs(t), amb.z_mexc(), z_meta_m)
             ),
         )
     )

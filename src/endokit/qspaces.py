@@ -2,42 +2,60 @@
 
 These model the split-center spaces attached to Levi subgroups and the
 volume-ratio coefficient of a transverse pair of subspaces.  Everything is
-exact: the coefficient is stored squared so it stays rational.
+exact: a subspace is stored by the integer lattice it cuts out of Z^n, every
+determinant is an integer Bareiss determinant, and the coefficient is stored
+squared so it stays rational.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import _intlinalg as la
 from .errors import AmbientMismatch, NotNested
+from .lattices import IntLattice
 
 Vec = tuple[Fraction, ...]
+IntVec = tuple[int, ...]
 
 
 def _vec(v: Sequence) -> Vec:
     return tuple(Fraction(x) for x in v)
 
 
+def _cleared(v: Sequence) -> IntVec:
+    """``v`` times the lcm of its denominators: an integer vector on the same line."""
+    vv = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    den = math.lcm(*(x.denominator for x in vv))
+    return tuple(x.numerator * (den // x.denominator) for x in vv)
+
+
 @dataclass(frozen=True)
 class QSubspace:
-    """Subspace of Q^n, canonicalized to reduced row echelon form."""
+    """Subspace V of Q^n, canonicalized to the HNF basis of V cap Z^n.
+
+    V cap Z^n is the saturation of the lattice spanned by the spanning
+    vectors with their denominators cleared, so equal subspaces get equal
+    bases whatever vectors span them.
+    """
 
     ambient_dim: int
-    basis: tuple[Vec, ...] = ()
+    basis: tuple[IntVec, ...] = ()
 
     def __post_init__(self) -> None:
         for b in self.basis:
             if len(b) != self.ambient_dim:
                 raise AmbientMismatch("basis vector of wrong length")
-        canon = la.rref([_vec(b) for b in self.basis], self.ambient_dim)
-        object.__setattr__(self, "basis", canon)
+        lat = IntLattice(self.ambient_dim, tuple(_cleared(b) for b in self.basis))
+        object.__setattr__(self, "basis", lat.saturation().generators)
 
     @staticmethod
     def span(ambient_dim: int, vectors: Iterable[Sequence]) -> "QSubspace":
-        return QSubspace(ambient_dim, tuple(_vec(v) for v in vectors))
+        return QSubspace(ambient_dim, tuple(tuple(v) for v in vectors))
 
     @staticmethod
     def zero(ambient_dim: int) -> "QSubspace":
@@ -52,7 +70,10 @@ class QSubspace:
         return len(self.basis)
 
     def contains_vector(self, v: Sequence) -> bool:
-        return la.rat_solve(self.basis, _vec(v)) is not None
+        if len(v) != self.ambient_dim:
+            raise AmbientMismatch("vector length does not match the ambient")
+        # exact because the basis spans the saturated lattice V cap Z^n
+        return la.solve_int(self.basis, _cleared(v)) is not None
 
     def contains(self, other: "QSubspace") -> bool:
         self._check(other)
@@ -84,8 +105,9 @@ class QForm:
             for j in range(n):
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix must be symmetric")
+        scaled = self._scaled_gram
         for k in range(1, n + 1):
-            if _det([row[:k] for row in g[:k]]) <= 0:
+            if la.det_int([row[:k] for row in scaled[:k]]) <= 0:
                 raise ValueError("gram matrix must be positive definite")
 
     @staticmethod
@@ -109,25 +131,24 @@ class QForm:
             total += vv[i] * sum((row[j] * ww[j] for j in range(n) if ww[j] != 0), Fraction(0))
         return total
 
+    @cached_property
+    def _scaled_gram(self) -> tuple[IntVec, ...]:
+        """The gram matrix times the lcm of its denominators.
 
-def _det(mat: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return det
+        A k x k Gram determinant under it is the rational one times the
+        k-th power of that lcm, so sign tests and ratios of determinants
+        whose sizes balance are unchanged.
+        """
+        n = self.dim
+        flat = _cleared([x for row in self.gram for x in row])
+        return tuple(flat[i * n : (i + 1) * n] for i in range(n))
+
+
+def _pairing(g: Sequence[Sequence[int]], rows_a: Sequence[IntVec], rows_b: Sequence[IntVec]) -> list[list[int]]:
+    """Matrix of g(a, b) for a in ``rows_a`` and b in ``rows_b``."""
+    n = len(g)
+    ga = [[sum(a[i] * g[i][j] for i in range(n) if a[i]) for j in range(n)] for a in rows_a]
+    return [[sum(x * y for x, y in zip(r, b)) for b in rows_b] for r in ga]
 
 
 @dataclass(frozen=True)
@@ -159,17 +180,8 @@ def relative_space(a_big: QSubspace, a_small: QSubspace, form: QForm) -> QSubspa
     if a_small.dim == 0:
         return a_big
     # v = c . basis(a_big) with <v, s> = 0 for all s in basis(a_small)
-    rows = []
-    for b in a_big.basis:
-        rows.append(tuple(form.inner(b, s) for s in a_small.basis))
-    ker = la.rat_kernel(rows, a_small.dim)
-    vecs = []
-    for k in ker:
-        v = [Fraction(0)] * a_big.ambient_dim
-        for coef, b in zip(k, a_big.basis):
-            if coef:
-                v = [x + coef * y for x, y in zip(v, b)]
-        vecs.append(v)
+    ker = la.left_kernel(_pairing(form._scaled_gram, a_big.basis, a_small.basis), a_small.dim)
+    vecs = [[sum(c * b[i] for c, b in zip(k, a_big.basis)) for i in range(a_big.ambient_dim)] for k in ker]
     return QSubspace.span(a_big.ambient_dim, vecs)
 
 
@@ -190,8 +202,10 @@ def d_coefficient(am_rel: QSubspace, al_rel: QSubspace, ar_rel: QSubspace, form:
         return DSquared(Fraction(0))
     u = relative_space(ar_rel, am_rel, form).basis
     v = relative_space(ar_rel, al_rel, form).basis
-    both = u + v
-    num = _det([[form.inner(a, b) for b in both] for a in both])
-    den_u = _det([[form.inner(a, b) for b in u] for a in u])
-    den_v = _det([[form.inner(a, b) for b in v] for a in v])
-    return DSquared(num / (den_u * den_v))
+    # dim u + dim v is the size of the numerator, so the form's scale cancels
+    g = form._scaled_gram
+
+    def gram_det(rows: tuple[IntVec, ...]) -> int:
+        return la.det_int(_pairing(g, rows, rows))
+
+    return DSquared(Fraction(gram_det(u + v), gram_det(u) * gram_det(v)))

@@ -2,7 +2,8 @@
 
 Everything here recomputes results by a route independent of the library
 code it checks: element enumeration for finite diagonalizable groups, coset
-counting for lattice indices, Gram determinants by cofactor expansion.
+counting for lattice indices, Gram determinants by cofactor expansion,
+rational subspaces and volume ratios by Fraction row reduction.
 """
 
 from __future__ import annotations
@@ -191,3 +192,76 @@ def gram_det(rows: list[list[Fraction]]) -> Fraction:
         sign = -1 if j % 2 else 1
         total += sign * rows[0][j] * gram_det(minor)
     return total
+
+
+# ---------------------------------------------------------------------------
+# rational subspaces by Fraction row reduction, independent of the library's
+# integer kernel
+
+
+def rref(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Nonzero rows of the reduced row echelon form over Q."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        a[rank] = [x / a[rank][col] for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return a[:rank]
+
+
+def in_span(rows: list[list[Fraction]], v: list[Fraction], n: int) -> bool:
+    return len(rref(rows + [v], n)) == len(rref(rows, n))
+
+
+def relative_space(
+    big: list[list[Fraction]], small: list[list[Fraction]], gram: list[list[Fraction]]
+) -> list[list[Fraction]]:
+    """A basis of the gram-orthogonal complement of span(small) in span(big)."""
+    n = len(gram)
+    big = rref(big, n)
+    small = rref(small, n)
+    if not small:
+        return big
+
+    def inner(v, w):
+        return sum(v[i] * gram[i][j] * w[j] for i in range(n) for j in range(n))
+
+    # c with sum_i c_i <big_i, s> = 0 for every s: the null space of this matrix
+    red = rref([[inner(b, s) for b in big] for s in small], len(big))
+    pivots = [next(c for c, x in enumerate(r) if x != 0) for r in red]
+    out = []
+    for f in (c for c in range(len(big)) if c not in pivots):
+        coef = [Fraction(int(c == f)) for c in range(len(big))]
+        for r, p in zip(red, pivots):
+            coef[p] = -r[f]
+        out.append([sum(c * b[i] for c, b in zip(coef, big)) for i in range(n)])
+    return out
+
+
+def d_coefficient(
+    am: list[list[Fraction]], al: list[list[Fraction]], ar: list[list[Fraction]], gram: list[list[Fraction]]
+) -> Fraction:
+    """Squared volume ratio of the complements of span(am) and span(al) in
+    span(ar), zero unless the two spans sum directly to span(ar)."""
+    n = len(gram)
+    dm, dl, dr = len(rref(am, n)), len(rref(al, n)), len(rref(ar, n))
+    if dm + dl != dr or len(rref(am + al, n)) != dr:
+        return Fraction(0)
+    u = relative_space(ar, am, gram)
+    v = relative_space(ar, al, gram)
+
+    def inner(v, w):
+        return sum(v[i] * gram[i][j] * w[j] for i in range(n) for j in range(n))
+
+    def gram_of(rows):
+        return gram_det([[inner(a, b) for b in rows] for a in rows])
+
+    return gram_of(u + v) / (gram_of(u) * gram_of(v))

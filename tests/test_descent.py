@@ -364,6 +364,44 @@ class TestTwistHomomorphism:
             assert tau_L_kernel(o, amb, levi).order() == count
 
 
+class TestBlockCoordinateShortcut:
+    """``Ambient.d_g`` computes in weighted block coordinates; it must equal
+    the coefficient computed in ambient torus coordinates under the
+    standard form."""
+
+    def test_d_g_matches_ambient_coordinates(self):
+        from endokit.campaign import CampaignSpec, scenario_corpus
+        from endokit.qspaces import QForm, QSubspace, d_coefficient
+
+        seen = set()
+        for sc in scenario_corpus(CampaignSpec(max_rank=3, suites=("descent",))):
+            o = descend(sc)
+            amb = Ambient(o)
+
+            def space(groups):
+                vecs = []
+                for grp in groups:
+                    v = [0] * o.ambient
+                    for bid, e in grp:
+                        for c in amb.bc[bid]:
+                            v[c] = e
+                    vecs.append(v)
+                return QSubspace.span(o.ambient, vecs)
+
+            ar = space([((b.bid, 1),) for b in o.blocks])
+            am = space([tuple((bid, 1) for bid in amb.owners[i]) for i in sorted(amb.owners)])
+            owners = tuple((i, tuple(bids)) for i, bids in sorted(amb.owners.items()))
+            layout = (o.ambient, tuple((b.bid, b.width) for b in o.blocks), owners)
+            for levi in enumerate_levis(o):
+                key = (layout, levi.groups)
+                if key in seen:
+                    continue
+                seen.add(key)
+                slow = d_coefficient(am, space(levi.groups), ar, QForm.standard(o.ambient))
+                assert amb.d_g(levi) == slow, (sc.digest(), levi)
+        assert len(seen) > 100, len(seen)
+
+
 class TestMemoTables:
     """Memoized lattice-level results equal what recomputation gives."""
 
