@@ -49,8 +49,6 @@ from .enatural import (
     GEtaLevi,
     build_E_inst,
     build_E_st,
-    c_inst,
-    c_st,
     enumerate_E_natural,
     enumerate_levis,
     general_twist_check,

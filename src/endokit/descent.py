@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .catalog import FactorType, GroupType, gl, so_even, so_odd, sp, u
+from .catalog import FactorType, GroupType, bar, gl, so_even, so_odd, sp, u
 from .endoscopy import EigenMultiset, EllipticDatumMeta, correspond_mu
 from .errors import InvariantViolation, MatchingFailure, ScenarioValidationError
 from .rootsofunity import RootOfUnity
@@ -453,50 +453,6 @@ class DescentOutcome:
     pulled_prime: bool  # split rank-one even part converted to a GL block
     pulled_dbl: bool
 
-    # -- coordinates --------------------------------------------------------
-
-    @property
-    def ambient(self) -> int:
-        n = sum(b.width for b in self.blocks)
-        n += sum(2 * s.d * s.k_bar for s in self.u_slots)
-        return n + self.x_prime + self.y_prime + self.x_dbl + self.y_dbl
-
-    def block_coords(self, bid: int) -> tuple[int, ...]:
-        pos = 0
-        for b in self.blocks:
-            if b.bid == bid:
-                return tuple(range(pos, pos + b.width))
-            pos += b.width
-        raise KeyError(bid)
-
-    def _slot_base(self) -> int:
-        return sum(b.width for b in self.blocks)
-
-    def u_slot_coords(self, idx: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        pos = self._slot_base()
-        for k, s in enumerate(self.u_slots):
-            wp, wd = 2 * s.d * s.k_prime, 2 * s.d * s.k_dbl
-            if k == idx:
-                return (
-                    tuple(range(pos, pos + wp)),
-                    tuple(range(pos + wp, pos + wp + wd)),
-                )
-            pos += wp + wd
-        raise KeyError(idx)
-
-    def pm_slot_coords(self) -> dict[str, tuple[int, ...]]:
-        pos = self._slot_base() + sum(2 * s.d * s.k_bar for s in self.u_slots)
-        out = {}
-        for name, w in (
-            ("xp", self.x_prime),
-            ("yp", self.y_prime),
-            ("xd", self.x_dbl),
-            ("yd", self.y_dbl),
-        ):
-            out[name] = tuple(range(pos, pos + w))
-            pos += w
-        return out
-
     # -- homes ---------------------------------------------------------------
 
     def home_blocks(self, home: tuple) -> tuple[Block, ...]:
@@ -824,25 +780,31 @@ def compatibility_check(outcome: DescentOutcome, t: Sequence[int]) -> bool:
 # the two independent group computations for the pushed datum
 
 
-def gs_descended_types(
-    outcome: DescentOutcome, t: Sequence[int]
-) -> tuple[GroupType, GroupType]:
+def gs_descended_types(outcome: DescentOutcome, t: Sequence) -> tuple[GroupType, GroupType]:
     """Centralizer of the twisted element in its endoscopic group, computed
-    from raw eigenvalue multisets, and the same with the bar swap applied."""
-    from .catalog import bar as bar_op
+    from raw eigenvalue multisets, and the same with the bar swap applied.
 
+    ``t`` has one entry per GL block of the Levi: +1 or -1 sends the block to
+    the prime or double-prime side, and a general twist's ``("label", k)``
+    merges it with the other blocks of label k into one GL centralizer.
+    """
     sc = outcome.scenario
     prime = Counter(_exponent_pairs(sc.eps_prime))
     dbl = Counter(_exponent_pairs(sc.eps_dblprime))
+    labeled: dict[int, Counter] = {}
     for i, ms in enumerate(sc.eps_gl):
-        if t[i] == 1:
+        a = t[i]
+        if a == 1:
             prime.update(_gl_block_pairs(ms, False))
-        else:
+        elif a == -1:
             dbl.update(_gl_block_pairs(ms, True))
+        else:
+            labeled.setdefault(a[1], Counter()).update(_exponent_counts(ms))
+    gls = tuple(f for k in sorted(labeled) for f, _ in _centralizer_factors_counts(labeled[k], sc.q, "gl"))
     gp = _odd_orthogonal_factors(tuple(sorted(prime.items())), sc.q, sc.form_class_prime)
     gd = _odd_orthogonal_factors(tuple(sorted(dbl.items())), sc.q, sc.form_class_dblprime)
-    full = GroupType(gp + gd)
-    return full, bar_op(full)
+    full = GroupType(gls + gp + gd)
+    return full, bar(full)
 
 
 ExpPair = tuple[int, int]  # a reduced exponent j/N in [0, 1) as (j, N)

@@ -15,13 +15,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from ._intlinalg import det_int
 from .catalog import (
     GroupType,
     assemble_diag,
-    bar as bar_op,
     center_rows,
     gl,
     grouping_patterns,
@@ -30,16 +29,14 @@ from .catalog import (
     so_odd,
     sp,
     u,
-    unbar,
 )
 from .descent import (
     HALF,
     Block,
     DescentOutcome,
+    _neg_rep_exp,
     gs_descended_types,
-    orbit_negate,
     orbit_of,
-    orbit_rep,
     placement,
     placement_independent,
     sigma,
@@ -157,34 +154,58 @@ def bottom_levi(outcome: DescentOutcome) -> GEtaLevi:
 # the shared coordinate calculus
 
 
+Atoms = tuple[int, ...]
+Layout = tuple[int, dict[int, Atoms], dict[Fraction, Atoms], dict[Fraction, Atoms], dict[str, Atoms]]
+Parts = list[tuple[str, Atoms]]
+
+
+def atom_layout(outcome: DescentOutcome) -> Layout:
+    """Atom coordinates of an outcome: (atom count, block atoms, unitary
+    prime-half atoms, unitary double-prime-half atoms, x'/y'/x''/y'' atoms).
+
+    An atom is a block, a unitary-slot half or an x'/y'/x''/y'' part; every
+    center ``Ambient`` builds is constant on atoms, and the diagonal embedding
+    of the atom torus is injective, so one coordinate per atom keeps every
+    intersection, order and index.  Blocks come first, in block order, so a
+    block's atom is its position in the block-order rows of the volume
+    calculus.  An empty part gets no atom: it would be a free G_m.
+    """
+    n = 0
+
+    def atom(width: int) -> Atoms:
+        nonlocal n
+        if not width:
+            return ()
+        n += 1
+        return (n - 1,)
+
+    bc = {b.bid: atom(b.width) for b in outcome.blocks}
+    up = {s.eta_rep: atom(s.k_prime) for s in outcome.u_slots}
+    ud = {s.eta_rep: atom(s.k_dbl) for s in outcome.u_slots}
+    pm = {
+        name: atom(w)
+        for name, w in (
+            ("xp", outcome.x_prime),
+            ("yp", outcome.y_prime),
+            ("xd", outcome.x_dbl),
+            ("yd", outcome.y_dbl),
+        )
+    }
+    return n, bc, up, ud, pm
+
+
 class Ambient:
-    """Coordinates, centers and split-center spaces over one outcome."""
+    """Atom coordinates, centers and split-center spaces over one outcome."""
 
     def __init__(self, outcome: DescentOutcome):
         self.outcome = outcome
-        self.n = outcome.ambient
-        self.bc = {b.bid: outcome.block_coords(b.bid) for b in outcome.blocks}
+        self.n, self.bc, self.up, self.ud, self.pm = atom_layout(outcome)
         self.block = {b.bid: b for b in outcome.blocks}
-        self.up: dict[Fraction, tuple[int, ...]] = {}
-        self.ud: dict[Fraction, tuple[int, ...]] = {}
-        for idx, slot in enumerate(outcome.u_slots):
-            p, d = outcome.u_slot_coords(idx)
-            self.up[slot.eta_rep] = p
-            self.ud[slot.eta_rep] = d
-        self.pm = outcome.pm_slot_coords()
         self.slots = {s.eta_rep: s for s in outcome.u_slots}
-        prime_side = [c for b in outcome.blocks if b.origin in ("pair_prime", "so2_prime") for c in self.bc[b.bid]]
-        for p in self.up.values():
-            prime_side.extend(p)
-        prime_side.extend(self.pm["xp"])
-        prime_side.extend(self.pm["yp"])
-        dbl_side = [c for b in outcome.blocks if b.origin in ("pair_dbl", "so2_dbl") for c in self.bc[b.bid]]
-        for d in self.ud.values():
-            dbl_side.extend(d)
-        dbl_side.extend(self.pm["xd"])
-        dbl_side.extend(self.pm["yd"])
-        self.prime_side = tuple(sorted(prime_side))
-        self.dbl_side = tuple(sorted(dbl_side))
+        prime = self._coords(b.bid for b in outcome.blocks if b.origin in ("pair_prime", "so2_prime"))
+        dbl = self._coords(b.bid for b in outcome.blocks if b.origin in ("pair_dbl", "so2_dbl"))
+        self.prime_side = tuple(itertools.chain(prime, *self.up.values(), self.pm["xp"], self.pm["yp"]))
+        self.dbl_side = tuple(itertools.chain(dbl, *self.ud.values(), self.pm["xd"], self.pm["yd"]))
         self.owners: dict[int, list[int]] = {}
         for b in outcome.blocks:
             if b.origin == "levi":
@@ -192,47 +213,42 @@ class Ambient:
         self._memo: dict = {}
 
     def _cached(self, key: Hashable, build):
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build()
+        return got
+
+    def _coords(self, bids: Iterable[int]) -> Atoms:
+        return tuple(c for bid in bids for c in self.bc[bid])
 
     def d_g(self, levi: GEtaLevi) -> DSquared:
-        key = ("d_g", levi)
-        if key not in self._memo:
-            self._memo[key] = _d_squared(
-                self.weights,
-                self._m_rows_block(),
-                tuple(self._block_group_row(g) for g in levi.groups),
-            )
-        return self._memo[key]
+        return self._cached(
+            ("d_g", levi),
+            lambda: _d_squared(
+                self.weights, self._m_rows_block(), tuple(self._block_group_row(g) for g in levi.groups)
+            ),
+        )
 
-    # Everything below works in block coordinates: the block-sum vectors are
-    # orthogonal, so sending each to a basis vector weighted by its width is
-    # an isometry onto the span of the matched Levi's center space.
+    # The volume calculus works in weighted block coordinates, the block part
+    # of the atoms: the block-sum vectors are orthogonal, so sending each to a
+    # basis vector weighted by its width is an isometry onto the span of the
+    # matched Levi's center space.
 
     @property
     def weights(self) -> tuple[int, ...]:
         return self._cached("weights", lambda: tuple(b.width for b in self.outcome.blocks))
 
     def _block_group_row(self, grp: Group) -> tuple[int, ...]:
-        pos = self._cached("block_pos", lambda: {b.bid: i for i, b in enumerate(self.outcome.blocks)})
-        v = [0] * len(self.outcome.blocks)
-        for bid, e in grp:
-            v[pos[bid]] = e
-        return tuple(v)
+        exps = dict(grp)
+        return tuple(exps.get(b.bid, 0) for b in self.outcome.blocks)
 
     def _m_rows_block(self) -> tuple[tuple[int, ...], ...]:
-        def build() -> tuple[tuple[int, ...], ...]:
-            pos = {b.bid: i for i, b in enumerate(self.outcome.blocks)}
-            rows = []
-            for i in sorted(self.owners):
-                v = [0] * len(self.outcome.blocks)
-                for bid in self.owners[i]:
-                    v[pos[bid]] = 1
-                rows.append(tuple(v))
-            return tuple(rows)
-
-        return self._cached("m_rows_block", build)
+        return self._cached(
+            "m_rows_block",
+            lambda: tuple(
+                self._block_group_row(tuple((bid, 1) for bid in self.owners[i])) for i in sorted(self.owners)
+            ),
+        )
 
     # integer-rank transversality filters (the exact volume ratio is only
     # computed for surviving entries)
@@ -240,16 +256,15 @@ class Ambient:
     def transverse(self, groups: Iterable[Group]) -> bool:
         """Whether the split-center spaces sum directly to the full one."""
         g_rows = [self._block_group_row(g) for g in groups]
-        n_blocks = len(self.outcome.blocks)
         m_rows = self._m_rows_block()
-        if len(m_rows) + len(g_rows) != n_blocks:
+        if len(m_rows) + len(g_rows) != len(self.outcome.blocks):
             return False
         return det_int(list(m_rows) + g_rows) != 0
 
     # -- home bookkeeping -------------------------------------------------------
 
-    def home_core_parts(self, home: tuple) -> tuple[tuple[int, ...], tuple[int, ...], int, int, str]:
-        """(plus part coords, minus part coords, plus rank, minus rank, class)."""
+    def home_core_parts(self, home: tuple) -> tuple[Atoms, Atoms, int, int, str]:
+        """(plus part atoms, minus part atoms, plus rank, minus rank, class)."""
         o = self.outcome
         if home == ("sp", 1):
             return self.pm["xp"], self.pm["yd"], o.x_prime, o.y_dbl, o.class_dbl
@@ -266,137 +281,94 @@ class Ambient:
 
     # -- centers ------------------------------------------------------------------
 
-    def _assemble(self, rows: list) -> DiagSubgroup:
-        return assemble_diag(self.n, rows)
+    def _center(
+        self, key: Hashable, parts: Callable[[], Parts], groups: Iterable[Group] = ()
+    ) -> DiagSubgroup:
+        """The center ``key``: one diagonal piece per ``(tag, atoms)`` part,
+        and one signed torus per group, assembled once."""
+
+        def build() -> DiagSubgroup:
+            rows = [row for grp in groups for row in signed_torus_rows([(self.bc[bid], e) for bid, e in grp])]
+            for tag, atoms in parts():
+                rows += center_rows(tag, atoms)
+            return assemble_diag(self.n, rows)
+
+        return self._cached(key, build)
+
+    def _levi_parts(self) -> Parts:
+        return [("torus", self._coords(self.owners[i])) for i in sorted(self.owners)]
+
+    def _block_parts(self) -> Parts:
+        return [("torus", self.bc[b.bid]) for b in self.outcome.blocks]
+
+    def _trivial_elsewhere(self, parts: Parts) -> Parts:
+        covered = {c for _, atoms in parts for c in atoms}
+        return parts + [("none", tuple(c for c in range(self.n) if c not in covered))]
 
     def z_meta_m(self) -> DiagSubgroup:
-        def build() -> DiagSubgroup:
-            rows: list = []
-            covered: set[int] = set()
-            for i in sorted(self.owners):
-                coords = tuple(c for bid in self.owners[i] for c in self.bc[bid])
-                rows.extend(center_rows("torus", coords))
-                covered.update(coords)
-            rest = tuple(c for c in range(self.n) if c not in covered)
-            rows.extend(center_rows("none", rest))
-            return self._assemble(rows)
-
-        return self._cached("z_meta_m", build)
+        return self._center("z_meta_m", lambda: self._trivial_elsewhere(self._levi_parts()))
 
     def z_mexc(self) -> DiagSubgroup:
-        def build() -> DiagSubgroup:
-            rows: list = []
-            for i in sorted(self.owners):
-                coords = tuple(c for bid in self.owners[i] for c in self.bc[bid])
-                rows.extend(center_rows("torus", coords))
-            rows.extend(center_rows("mu2", self.prime_side))
-            rows.extend(center_rows("mu2", self.dbl_side))
-            return self._assemble(rows)
-
-        return self._cached("z_mexc", build)
+        return self._center(
+            "z_mexc", lambda: self._levi_parts() + [("mu2", self.prime_side), ("mu2", self.dbl_side)]
+        )
 
     def z_gs(self, t: Sequence[int]) -> DiagSubgroup:
-        return self._cached(("z_gs", tuple(t)), lambda: self._z_gs_build(t))
+        def parts() -> Parts:
+            prime, dbl = list(self.prime_side), list(self.dbl_side)
+            for i, bids in self.owners.items():
+                (prime if t[i] == 1 else dbl).extend(self._coords(bids))
+            return [("mu2", tuple(prime)), ("mu2", tuple(dbl))]
 
-    def _z_gs_build(self, t: Sequence[int]) -> DiagSubgroup:
-        prime = list(self.prime_side)
-        dbl = list(self.dbl_side)
-        for b in self.outcome.blocks:
-            if b.origin != "levi":
-                continue
-            (prime if t[b.owner] == 1 else dbl).extend(self.bc[b.bid])
-        rows = center_rows("mu2", tuple(sorted(prime)))
-        rows += center_rows("mu2", tuple(sorted(dbl)))
-        return self._assemble(rows)
+        return self._center(("z_gs", tuple(t)), parts)
 
     def z_r(self) -> DiagSubgroup:
-        def build() -> DiagSubgroup:
-            rows: list = []
-            for b in self.outcome.blocks:
-                rows.extend(center_rows("torus", self.bc[b.bid]))
-            for rep in self.up:
-                rows.extend(center_rows("mu2", tuple(self.up[rep]) + tuple(self.ud[rep])))
-            for name in ("xp", "yp", "xd", "yd"):
-                rows.extend(center_rows("none", self.pm[name]))
-            return self._assemble(rows)
-
-        return self._cached("z_r", build)
+        return self._center(
+            "z_r",
+            lambda: self._block_parts()
+            + [("mu2", self.up[rep] + self.ud[rep]) for rep in self.up]
+            + [("none", atoms) for atoms in self.pm.values()],
+        )
 
     def z_r0(self) -> DiagSubgroup:
-        def build() -> DiagSubgroup:
-            rows: list = []
-            covered: set[int] = set()
-            for b in self.outcome.blocks:
-                rows.extend(center_rows("torus", self.bc[b.bid]))
-                covered.update(self.bc[b.bid])
-            rest = tuple(c for c in range(self.n) if c not in covered)
-            rows.extend(center_rows("none", rest))
-            return self._assemble(rows)
-
-        return self._cached("z_r0", build)
+        return self._center("z_r0", lambda: self._trivial_elsewhere(self._block_parts()))
 
     def z_mexcbar(self) -> DiagSubgroup:
-        def build() -> DiagSubgroup:
-            rows: list = []
-            for b in self.outcome.blocks:
-                rows.extend(center_rows("torus", self.bc[b.bid]))
-            for rep in self.up:
-                rows.extend(center_rows("mu2", self.up[rep]))
-                rows.extend(center_rows("mu2", self.ud[rep]))
-            rows.extend(center_rows("none", self.pm["xp"]))
-            rows.extend(center_rows("mu2", self.pm["yp"]))
-            rows.extend(center_rows("none", self.pm["xd"]))
-            rows.extend(center_rows("mu2", self.pm["yd"]))
-            return self._assemble(rows)
-
-        return self._cached("z_mexcbar", build)
+        return self._center(
+            "z_mexcbar",
+            lambda: self._block_parts()
+            + [("mu2", half[rep]) for rep in self.up for half in (self.up, self.ud)]
+            + [("mu2" if name[0] == "y" else "none", atoms) for name, atoms in self.pm.items()],
+        )
 
     def z_mexceps(self) -> DiagSubgroup:
-        def build() -> DiagSubgroup:
-            rows: list = []
-            for b in self.outcome.blocks:
-                rows.extend(center_rows("torus", self.bc[b.bid]))
-            for rep in self.up:
-                rows.extend(center_rows("mu2", self.up[rep]))
-                rows.extend(center_rows("mu2", self.ud[rep]))
-            for name in ("xp", "yp", "xd", "yd"):
-                rows.extend(center_rows("mu2", self.pm[name]))
-            return self._assemble(rows)
-
-        return self._cached("z_mexceps", build)
-
-    def _group_rows(self, grp: Group) -> list:
-        return signed_torus_rows([(self.bc[bid], e) for bid, e in grp])
+        return self._center(
+            "z_mexceps",
+            lambda: self._block_parts()
+            + [("mu2", half[rep]) for rep in self.up for half in (self.up, self.ud)]
+            + [("mu2", atoms) for atoms in self.pm.values()],
+        )
 
     def z_l(self, levi: GEtaLevi) -> DiagSubgroup:
-        key = ("z_l", levi)
-        if key not in self._memo:
-            self._memo[key] = self._z_l_build(levi)
-        return self._memo[key]
+        def parts() -> Parts:
+            out: Parts = []
+            for home in self.outcome.homes():
+                blocks = self.absorbed(levi, home)
+                if home[0] == "gl":
+                    if blocks:
+                        raise InvariantViolation("pair-factor blocks cannot be absorbed")
+                    continue
+                plus, minus, _, _, _ = self.home_core_parts(home)
+                atoms = self._coords(b.bid for b in blocks) + plus + minus
+                out.append(("none" if home[0] == "sp" else "mu2", atoms))
+            return out
 
-    def _z_l_build(self, levi: GEtaLevi) -> DiagSubgroup:
-        rows: list = []
-        for grp in levi.groups:
-            rows.extend(self._group_rows(grp))
-        for home in self.outcome.homes():
-            blocks = self.absorbed(levi, home)
-            coords = tuple(c for b in blocks for c in self.bc[b.bid])
-            if home[0] == "gl":
-                if blocks:
-                    raise InvariantViolation("pair-factor blocks cannot be absorbed")
-                continue
-            plus_c, minus_c, _, _, _ = self.home_core_parts(home)
-            allc = tuple(sorted(coords + plus_c + minus_c))
-            if home[0] == "sp":
-                rows.extend(center_rows("none", allc))
-            else:
-                rows.extend(center_rows("mu2", allc))
-        return self._assemble(rows)
+        return self._center(("z_l", levi), parts, levi.groups)
 
     def _core_datum_coords(
         self, levi: GEtaLevi, home: tuple, t: Sequence[int]
     ) -> tuple[tuple[int, ...], tuple[int, ...], int, int, str]:
-        """Datum pieces of one core: (plus coords, minus coords, plus rank,
+        """Datum pieces of one core: (plus atoms, minus atoms, plus rank,
         minus rank, minus class) after absorbing the core blocks."""
         plus_c, minus_c, x0, y0, klass = self.home_core_parts(home)
         plus = list(plus_c)
@@ -420,28 +392,20 @@ class Ambient:
         parts, trivial center there); with true it is the unbarred one (odd
         orthogonal plus parts, diagonal mu_2).
         """
-        key = ("z_pushed", levi, tuple(t), odd_side)
-        if key not in self._memo:
-            self._memo[key] = self._z_pushed_build(levi, t, odd_side)
-        return self._memo[key]
 
-    def _z_pushed_build(self, levi: GEtaLevi, t: Sequence[int], odd_side: bool) -> DiagSubgroup:
-        rows: list = []
-        for grp in levi.groups:
-            if len({sigma(self.outcome, self.block[bid], t) for bid, _ in grp}) != 1:
-                raise InvariantViolation("pushed center needs sign-pure groups")
-            rows.extend(self._group_rows(grp))
-        for home in self.outcome.homes():
-            if home[0] == "gl":
-                continue
-            plus, minus, x, y, _ = self._core_datum_coords(levi, home, t)
-            if home[0] == "sp":
-                rows.extend(center_rows("mu2" if odd_side else "none", plus))
-                rows.extend(center_rows("mu2", minus))
-            else:
-                rows.extend(center_rows("mu2", plus))
-                rows.extend(center_rows("mu2", minus))
-        return self._assemble(rows)
+        def parts() -> Parts:
+            for grp in levi.groups:
+                if len({sigma(self.outcome, self.block[bid], t) for bid, _ in grp}) != 1:
+                    raise InvariantViolation("pushed center needs sign-pure groups")
+            out: Parts = []
+            for home in self.outcome.homes():
+                if home[0] == "gl":
+                    continue
+                plus, minus, _, _, _ = self._core_datum_coords(levi, home, t)
+                out += [("mu2" if odd_side or home[0] == "u" else "none", plus), ("mu2", minus)]
+            return out
+
+        return self._center(("z_pushed", levi, tuple(t), odd_side), parts, levi.groups)
 
     # -- pushed group types -------------------------------------------------------
 
@@ -512,15 +476,11 @@ def is_elliptic(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi, t: Sequen
 HomeKey = tuple
 
 
-def gs_home_of(outcome: DescentOutcome, b: Block, t: Sequence[int]) -> HomeKey:
-    return placement_independent(outcome, b, t)
-
-
 def gs_homes(outcome: DescentOutcome, t: Sequence[int]) -> dict[HomeKey, tuple[Block, ...]]:
     """Factor homes of the descended endoscopic group, with their blocks."""
     homes: dict[HomeKey, list[Block]] = {}
     for b in outcome.blocks:
-        homes.setdefault(gs_home_of(outcome, b, t), []).append(b)
+        homes.setdefault(placement_independent(outcome, b, t), []).append(b)
     for key, rank in (
         (("p", "odd"), outcome.x_prime),
         (("d", "odd"), outcome.x_dbl),
@@ -533,13 +493,9 @@ def gs_homes(outcome: DescentOutcome, t: Sequence[int]) -> dict[HomeKey, tuple[B
         if slot.k_prime:
             homes.setdefault(("p", "u", slot.eta_rep), [])
         if slot.k_dbl:
-            neg = orbit_rep(_negated_orbit(slot.eta_rep, outcome.scenario.q))
+            neg = _neg_rep_exp(slot.eta_rep, outcome.scenario.q)
             homes.setdefault(("d", "u", neg), [])
     return {k: tuple(v) for k, v in homes.items()}
-
-
-def _negated_orbit(rep: Fraction, q: int) -> frozenset[Fraction]:
-    return orbit_negate(orbit_of(rep, q))
 
 
 def _eps_orientation(outcome: DescentOutcome, b: Block, t: Sequence[int], home_key: Fraction) -> int:
@@ -579,28 +535,10 @@ def _gs_core_info(outcome: DescentOutcome, key: HomeKey) -> tuple[int, str]:
         if key[0] == "p":
             slot = outcome.u_slot_at(key[2])
             return (slot.k_prime if slot else 0), "split"
-        rep = orbit_rep(_negated_orbit(key[2], outcome.scenario.q))
+        rep = _neg_rep_exp(key[2], outcome.scenario.q)
         slot = outcome.u_slot_at(rep)
         return (slot.k_dbl if slot else 0), "split"
     return 0, "split"
-
-
-def _gs_core_coords(amb: Ambient, key: HomeKey) -> tuple[int, ...]:
-    o = amb.outcome
-    if key == ("p", "odd"):
-        return amb.pm["xp"]
-    if key == ("d", "odd"):
-        return amb.pm["xd"]
-    if key == ("p", "even"):
-        return amb.pm["yp"]
-    if key == ("d", "even"):
-        return amb.pm["yd"]
-    if key[1] == "u":
-        if key[0] == "p":
-            return amb.up.get(key[2], ())
-        rep = orbit_rep(_negated_orbit(key[2], o.scenario.q))
-        return amb.ud.get(rep, ())
-    return ()
 
 
 def enumerate_e_st(outcome: DescentOutcome, amb: Ambient, t: Sequence[int]) -> Iterator[EStElement]:
@@ -652,7 +590,6 @@ def _leps_rows_block(outcome: DescentOutcome, amb: Ambient, elem: EStElement) ->
     rows = [amb._block_group_row(g) for _, g in elem.groups]
     grouped = elem.grouped_bids()
     homes = gs_homes(outcome, tuple(elem.t))
-    pos = {b.bid: i for i, b in enumerate(outcome.blocks)}
     for key, blocks in homes.items():
         if len(key) < 2 or key[1] != "even":
             continue
@@ -662,10 +599,7 @@ def _leps_rows_block(outcome: DescentOutcome, amb: Ambient, elem: EStElement) ->
         if klass == "split" and y == 1:
             if core_rank:
                 raise InvariantViolation("a degenerate split even part needs an empty core slot")
-            v = [0] * len(outcome.blocks)
-            for b in absorbed:
-                v[pos[b.bid]] = 1
-            rows.append(tuple(v))
+            rows.append(amb._block_group_row(tuple((b.bid, 1) for b in absorbed)))
     return rows
 
 
@@ -907,14 +841,6 @@ def build_E_st(outcome: DescentOutcome, amb: Ambient | None = None) -> set:
 # identity verification
 
 
-def c_inst(entry: ENaturalEntry) -> tuple[Fraction, DSquared]:
-    return entry.c_inst_rat, entry.dsq
-
-
-def c_st(entry: ENaturalEntry) -> tuple[Fraction, DSquared]:
-    return entry.c_st_rat, entry.dsq_st
-
-
 def verify_identities(
     outcome: DescentOutcome, amb: Ambient, entry: ENaturalEntry
 ) -> dict[str, bool]:
@@ -1111,45 +1037,13 @@ def arthur_general_types(
     return GroupType(tuple(bar_factors)), GroupType(tuple(odd_factors))
 
 
-def descended_general_types(
-    outcome: DescentOutcome, assignment: Assignment
-) -> tuple[GroupType, GroupType]:
-    """Centralizer of the twisted element inside the endoscopic group of the
-    general datum, from raw eigenvalue multisets: (plain, bar side)."""
-    from .descent import centralizer_type as ct
-    from .endoscopy import EigenMultiset as EM
-    from .rootsofunity import RootOfUnity
-
-    sc = outcome.scenario
-    prime_entries = list(sc.eps_prime.entries)
-    dbl_entries = list(sc.eps_dblprime.entries)
-    merged: dict[int, list] = {}
-    for i, ms in enumerate(sc.eps_gl):
-        a = assignment[i]
-        if a == 1:
-            prime_entries.extend(ms.with_inverses().entries)
-        elif a == -1:
-            dbl_entries.extend(
-                RootOfUnity((x.exponent + HALF) % 1) for x in ms.with_inverses().entries
-            )
-        else:
-            merged.setdefault(a[1], []).extend(ms.entries)
-    factors: list = []
-    for k in sorted(merged):
-        factors.extend(ct(EM.of(merged[k]), sc.q, "gl").factors)
-    gp = ct(EM.of(prime_entries), sc.q, "odd_orthogonal", sc.form_class_prime)
-    gd = ct(EM.of(dbl_entries), sc.q, "odd_orthogonal", sc.form_class_dblprime)
-    full = GroupType(tuple(factors) + gp.factors + gd.factors)
-    return full, bar_op(full)
-
-
 def general_twist_check(outcome: DescentOutcome, amb: Ambient, assignment: Assignment) -> bool:
     """Pushed-group identity for a general twist: the symbolic centralizer
     of the twist equals the descended centralizer of the twisted element."""
     if not separation_check(outcome, assignment):
         return False
     a_bar, a_odd = arthur_general_types(outcome, amb, assignment)
-    full, full_bar = descended_general_types(outcome, assignment)
+    full, full_bar = gs_descended_types(outcome, assignment)
     return a_bar == full_bar and a_odd == full
 
 

@@ -3,7 +3,8 @@
 Everything here recomputes results by a route independent of the library
 code it checks: element enumeration for finite diagonalizable groups, coset
 counting for lattice indices, Gram determinants by cofactor expansion,
-rational subspaces and volume ratios by Fraction row reduction.
+rational subspaces and volume ratios by Fraction row reduction, and the
+torus coordinates of a descent outcome (one coordinate per eigenvalue).
 """
 
 from __future__ import annotations
@@ -265,3 +266,33 @@ def d_coefficient(
         return gram_det([[inner(a, b) for b in rows] for a in rows])
 
     return gram_of(u + v) / (gram_of(u) * gram_of(v))
+
+
+def torus_layout(outcome):
+    """Torus coordinates of a descent outcome, in the shape of
+    ``enatural.atom_layout``: (ambient width, block ranges, unitary
+    prime-half ranges, unitary double-prime-half ranges, x'/y'/x''/y''
+    ranges).  Every part spans its full width: blocks first, then each slot's
+    two halves, then x', y', x'', y''."""
+    pos = 0
+
+    def take(width: int) -> tuple[int, ...]:
+        nonlocal pos
+        pos += width
+        return tuple(range(pos - width, pos))
+
+    blocks = {b.bid: take(b.width) for b in outcome.blocks}
+    u_prime, u_dbl = {}, {}
+    for s in outcome.u_slots:
+        u_prime[s.eta_rep] = take(2 * s.d * s.k_prime)
+        u_dbl[s.eta_rep] = take(2 * s.d * s.k_dbl)
+    pm = {
+        name: take(w)
+        for name, w in (
+            ("xp", outcome.x_prime),
+            ("yp", outcome.y_prime),
+            ("xd", outcome.x_dbl),
+            ("yd", outcome.y_dbl),
+        )
+    }
+    return pos, blocks, u_prime, u_dbl, pm

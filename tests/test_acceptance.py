@@ -5,11 +5,8 @@ equalities; the only tolerances are the runtime budgets stated alongside
 the criteria.
 """
 
-import itertools
 import time
 from fractions import Fraction
-
-import pytest
 
 from endokit.campaign import (
     CampaignSpec,
@@ -17,16 +14,13 @@ from endokit.campaign import (
     _catalog_groups,
     _finite_diag_family,
     run_campaign,
-    scenario_corpus,
 )
 from endokit.catalog import (
-    GroupType,
     LeviDatum,
     dual_center,
     layout_for,
     levi_data,
     levi_enumerate,
-    sp,
 )
 from endokit.endoscopy import (
     EllipticDatumMeta,

@@ -1,8 +1,6 @@
 import pytest
 
 from endokit.catalog import (
-    EmbeddedLevi,
-    FactorType,
     GroupType,
     LeviDatum,
     a_dimension,

@@ -12,14 +12,13 @@ from endokit.descent import (
     eta_from_epsilon,
     gs_descended_types,
     hypothesis_flags,
-    orbit_of,
     sbar0_assign,
     validate_scenario,
 )
 from endokit.enatural import (
     Ambient,
+    atom_layout,
     bottom_levi,
-    build_E_inst,
     build_E_st,
     enumerate_E_natural,
     enumerate_levis,
@@ -34,7 +33,9 @@ from endokit.enatural import (
 )
 from endokit.endoscopy import EigenMultiset, EllipticDatumMeta
 from endokit.errors import ScenarioValidationError
+from endokit.lattices import diag_identity_component, diag_index
 from endokit.rootsofunity import RootOfUnity
+from oracles import torus_layout
 
 R = RootOfUnity
 ONE = R.one()
@@ -180,9 +181,16 @@ class TestOutcomeStructure:
 
     def test_layout_widths(self):
         o = descend(UNITARY)
-        assert o.ambient == sum(b.width for b in o.blocks) + sum(
+        n, blocks, u_prime, u_dbl, pm = torus_layout(o)
+        assert n == sum(b.width for b in o.blocks) + sum(
             2 * s.d * (s.k_prime + s.k_dbl) for s in o.u_slots
         ) + o.x_prime + o.y_prime + o.x_dbl + o.y_dbl
+        parts = [*blocks.values(), *u_prime.values(), *u_dbl.values(), *pm.values()]
+        assert sorted(c for part in parts for c in part) == list(range(n))
+        # one atom per non-empty part, blocks first in block order
+        n_atoms, atom_blocks, _, _, _ = atom_layout(o)
+        assert n_atoms == sum(1 for part in parts if part) < n
+        assert atom_blocks == {b.bid: (i,) for i, b in enumerate(o.blocks)}
 
 
 class TestPlacementAgreement:
@@ -377,29 +385,72 @@ class TestBlockCoordinateShortcut:
         for sc in scenario_corpus(CampaignSpec(max_rank=3, suites=("descent",))):
             o = descend(sc)
             amb = Ambient(o)
+            n, block_coords, _, _, _ = torus_layout(o)
 
             def space(groups):
                 vecs = []
                 for grp in groups:
-                    v = [0] * o.ambient
+                    v = [0] * n
                     for bid, e in grp:
-                        for c in amb.bc[bid]:
+                        for c in block_coords[bid]:
                             v[c] = e
                     vecs.append(v)
-                return QSubspace.span(o.ambient, vecs)
+                return QSubspace.span(n, vecs)
 
             ar = space([((b.bid, 1),) for b in o.blocks])
             am = space([tuple((bid, 1) for bid in amb.owners[i]) for i in sorted(amb.owners)])
             owners = tuple((i, tuple(bids)) for i, bids in sorted(amb.owners.items()))
-            layout = (o.ambient, tuple((b.bid, b.width) for b in o.blocks), owners)
+            layout = (n, tuple((b.bid, b.width) for b in o.blocks), owners)
             for levi in enumerate_levis(o):
                 key = (layout, levi.groups)
                 if key in seen:
                     continue
                 seen.add(key)
-                slow = d_coefficient(am, space(levi.groups), ar, QForm.standard(o.ambient))
+                slow = d_coefficient(am, space(levi.groups), ar, QForm.standard(n))
                 assert amb.d_g(levi) == slow, (sc.digest(), levi)
         assert len(seen) > 100, len(seen)
+
+
+class TestAtomCoordinates:
+    """``Ambient`` builds every center on atoms; an ``Ambient`` on torus
+    coordinates, one per eigenvalue, must give the same results."""
+
+    @staticmethod
+    def _results(o):
+        amb = Ambient(o)
+        twists = list(itertools.product((1, -1), repeat=o.i_count))
+        entries = enumerate_E_natural(o, amb)
+        centers = [amb.z_meta_m(), amb.z_mexc(), amb.z_r(), amb.z_r0(), amb.z_mexcbar(), amb.z_mexceps()]
+        centers += [amb.z_gs(t) for t in twists]
+        centers += [amb.z_l(levi) for levi in enumerate_levis(o)]
+        centers += [amb.z_pushed(e.levi, e.t, odd_side=side) for e in entries for side in (False, True)]
+        return (
+            entries,
+            [verify_identities(o, amb, e) for e in entries],
+            verify_index_sets(o, amb, entries),
+            [pushed_group_check(o, amb, t) for t in twists],
+            # the dimension and the component-group order: for a finite
+            # center, its order
+            [(z.dim, diag_index(z, diag_identity_component(z))) for z in centers],
+        )
+
+    @pytest.mark.parametrize("fault", [None, "corrupt-sbar0"])
+    def test_atoms_match_torus_coordinates(self, fault, monkeypatch):
+        from endokit import enatural
+        from endokit.campaign import CampaignSpec, _corrupt_sbar0, scenario_corpus
+
+        outcomes = []
+        for sc in scenario_corpus(CampaignSpec(max_rank=3, suites=("descent",))):
+            o = descend(sc)
+            outcomes.append(_corrupt_sbar0(o) if fault == "corrupt-sbar0" else o)
+        on_atoms = [self._results(o) for o in outcomes]
+        monkeypatch.setattr(enatural, "atom_layout", torus_layout)
+        narrower = 0
+        for o, want in zip(outcomes, on_atoms):
+            assert Ambient(o).n == torus_layout(o)[0]
+            narrower += atom_layout(o)[0] < torus_layout(o)[0]
+            assert self._results(o) == want, o.scenario.digest()
+        assert narrower > len(outcomes) // 2, (narrower, len(outcomes))
 
 
 class TestMemoTables:

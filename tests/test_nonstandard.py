@@ -7,7 +7,6 @@ from endokit.errors import UnsupportedPairing
 from endokit.lattices import IntLattice, lattice_index
 from endokit.nonstandard import (
     NSLeviPair,
-    NonStdTriple,
     build_triple,
     c_nonstandard_closed,
     c_nonstandard_quotient,
