@@ -164,15 +164,16 @@ class ScenarioRecords(Sequence):
 class VerdictStore:
     """The descent suite's verdicts: one ``(digest, verdicts)`` pair per
     scenario, sorted by digest.  ``verdicts`` is the tuple ``_check_outcome``
-    returned for the scenario's shape, held once and shared by every scenario
-    of that shape, or a lone scenario-build failure."""
+    returned for the scenario's shape, interned by its ``ShapeCache`` so that
+    each distinct tuple is held once and shared by every scenario whose shape
+    has that verdict, or a lone scenario-build failure."""
 
     def __init__(self, pairs: Iterable[tuple[str, tuple[Verdict, ...]]]):
         self.pairs = sorted(pairs, key=itemgetter(0))
         self.record_count = sum(len(v) for _, v in self.pairs)
-        shapes = {id(v): v for _, v in self.pairs}.values()
-        self.passed = all(status == "pass" for v in shapes for _, _, status, _ in v)
-        self.checks = {check for v in shapes for check in _LAYOUTS[len(v)]}
+        distinct = {id(v): v for _, v in self.pairs}.values()
+        self.passed = all(status == "pass" for v in distinct for _, _, status, _ in v)
+        self.checks = {check for v in distinct for check in _LAYOUTS[len(v)]}
 
     def rows(self, check: str) -> Iterator[Row]:
         """The records of ``check``, by digest: one pass over the pairs."""
@@ -709,13 +710,16 @@ def _corrupt_sbar0(outcome: DescentOutcome) -> DescentOutcome:
     return replace(outcome, blocks=(bad,) + outcome.blocks[1:])
 
 
-def outcome_shape(outcome: DescentOutcome) -> tuple:
-    """Canonical combinatorial shape of an outcome.
+def outcome_shape(outcome: DescentOutcome) -> str:
+    """Canonical combinatorial shape of an outcome, as one string.
 
     Two outcomes of equal shape differ only by which exact roots of unity
     realize the same orbit pattern; every identity check consumes only the
     data below (block structure, placements, orientations, slot incidences),
-    so equal shapes give identical check results.
+    so equal shapes give identical check results.  The key is the ``repr`` of
+    a nested tuple whose atoms are ``int``, ``str``, ``bool`` and ``None``
+    (exponents are numbered by first appearance), so it is exact and
+    injective, and one flat string costs far less memory than the tuple.
     """
     from .enatural import _eps_orientation, _eta_orientation
     from .descent import placement, placement_independent
@@ -755,30 +759,48 @@ def outcome_shape(outcome: DescentOutcome) -> tuple:
     slots_shape = tuple(
         (cls(s.eta_rep), s.d, s.k_prime, s.k_dbl) for s in outcome.u_slots
     )
-    return (
+    return repr((
         tuple(blocks_shape),
         slots_shape,
         (outcome.x_prime, outcome.y_prime, outcome.x_dbl, outcome.y_dbl),
         (outcome.class_prime, outcome.class_dbl, outcome.pulled_prime, outcome.pulled_dbl),
         i_count,
         outcome.scenario.sizes,
-    )
+    ))
+
+
+class ShapeCache(dict):
+    """Verdict tuples by ``outcome_shape`` key, each distinct tuple held once.
+
+    A campaign checks tens of thousands of shapes but meets only a few dozen
+    distinct verdict tuples, so ``intern`` hands every equal tuple out as one
+    object.  It keys them by ``repr``, which keeps apart values that compare
+    equal but that the report writes differently (``True`` and ``1``,
+    ``Fraction(1)`` and ``1``)."""
+
+    def __init__(self):
+        super().__init__()
+        self._interned: dict[str, tuple[Verdict, ...]] = {}
+
+    def intern(self, verdicts: tuple[Verdict, ...]) -> tuple[Verdict, ...]:
+        return self._interned.setdefault(repr(verdicts), verdicts)
 
 
 def check_scenario(
-    sc: DescentScenario, fault: str | None = None, shape_cache: dict | None = None
+    sc: DescentScenario, fault: str | None = None, shape_cache: ShapeCache | None = None
 ) -> ScenarioRecords:
     """All descent-layer checks of one scenario.
 
     With a shape cache, scenarios of equal combinatorial shape share the
     verdict tuple computed for the first of them (the checks only consume the
-    shape).
+    shape), and the cache interns that tuple, so shapes with equal verdicts
+    share one tuple too.
     """
     digest = sc.digest()
     try:
         outcome = descend(sc)
     except EndokitError as exc:
-        return ScenarioRecords(digest, ((*BUILD_CHECK, "fail", (("error", exc),)),))
+        return ScenarioRecords(digest, ((*BUILD_CHECK, "fail", (("error", str(exc)),)),))
     if fault == "corrupt-sbar0":
         outcome = _corrupt_sbar0(outcome)
     if shape_cache is None:
@@ -786,38 +808,63 @@ def check_scenario(
     key = outcome_shape(outcome)
     verdicts = shape_cache.get(key)
     if verdicts is None:
-        verdicts = shape_cache[key] = _check_outcome(outcome)
+        verdicts = shape_cache[key] = shape_cache.intern(_check_outcome(outcome))
     return ScenarioRecords(digest, verdicts)
+
+
+# The laws of ``verify_identities`` and of ``verify_index_sets``, and every law
+# that needs the index set: the laws an error in each check family fails.
+IDENTITY_LAWS = tuple(DESCENT_LAWS)[2:9]
+INDEX_SET_LAWS = tuple(DESCENT_LAWS)[9:14]
+ENTRY_LAWS = (*IDENTITY_LAWS, *INDEX_SET_LAWS, "entry-count")
 
 
 def _check_outcome(outcome: DescentOutcome) -> tuple[Verdict, ...]:
     """The verdicts of every descent check on one outcome, laid out as
-    ``DESCENT_LAWS``."""
+    ``DESCENT_LAWS``.  An ``EndokitError`` raised in a check family fails
+    that family's laws, with the error as witness, and leaves the others as
+    they are; an error building the ``Ambient`` or the index set fails every
+    law that needs it."""
     ok: dict[str, bool] = {}
     witness: dict[str, dict] = {}
-    amb = Ambient(outcome)
 
-    ok["sign-rule-vs-descent"] = ok["pushed-group"] = True
-    for t in itertools.product((1, -1), repeat=outcome.i_count):
-        if not compatibility_check(outcome, t):
-            ok["sign-rule-vs-descent"] = False
-            witness["sign-rule-vs-descent"] = {"t": t}
-        if not pushed_group_check(outcome, amb, t):
-            ok["pushed-group"] = False
+    def guarded(laws: Sequence[str], check):
+        """``check()``, or None once an ``EndokitError`` from it has failed ``laws``."""
+        try:
+            return check()
+        except EndokitError as exc:
+            for law in laws:
+                ok[law] = False
+                witness[law] = {"error": str(exc)}
+            return None
 
-    entries = enumerate_E_natural(outcome, amb)
-    for entry in entries:
-        for key, good in verify_identities(outcome, amb, entry).items():
-            ok[key] = ok.get(key, True) and good
-            if not good and key not in witness:
-                witness[key] = {
-                    "t": entry.t,
-                    "groups": entry.levi.groups,
-                    "c_inst": entry.c_inst_rat,
-                    "c_st": entry.c_st_rat,
-                }
-    ok.update(verify_index_sets(outcome, amb, entries))
-    witness["entry-count"] = {"e_natural": len(entries)}
+    twists = list(itertools.product((1, -1), repeat=outcome.i_count))
+    wrong = guarded(("sign-rule-vs-descent",), lambda: [t for t in twists if not compatibility_check(outcome, t)])
+    if wrong:
+        ok["sign-rule-vs-descent"] = False
+        witness["sign-rule-vs-descent"] = {"t": wrong[-1]}
+
+    amb = guarded(("pushed-group", *ENTRY_LAWS), lambda: Ambient(outcome))
+    entries = None
+    if amb is not None:
+        pushed = guarded(("pushed-group",), lambda: [pushed_group_check(outcome, amb, t) for t in twists])
+        if pushed is not None:
+            ok["pushed-group"] = all(pushed)
+        entries = guarded(ENTRY_LAWS, lambda: enumerate_E_natural(outcome, amb))
+    if entries is not None:
+        identities = guarded(IDENTITY_LAWS, lambda: [verify_identities(outcome, amb, entry) for entry in entries])
+        for entry, checks in zip(entries, identities or ()):
+            for key, good in checks.items():
+                ok[key] = ok.get(key, True) and good
+                if not good and key not in witness:
+                    witness[key] = {
+                        "t": entry.t,
+                        "groups": entry.levi.groups,
+                        "c_inst": entry.c_inst_rat,
+                        "c_st": entry.c_st_rat,
+                    }
+        ok.update(guarded(INDEX_SET_LAWS, lambda: verify_index_sets(outcome, amb, entries)) or {})
+        witness["entry-count"] = {"e_natural": len(entries)}
     return tuple(
         (check, law, "pass" if ok.get(check, True) else "fail", tuple(sorted(witness.get(check, {}).items())))
         for check, law in DESCENT_LAWS.items()
@@ -826,7 +873,7 @@ def _check_outcome(outcome: DescentOutcome) -> tuple[Verdict, ...]:
 
 def _scenario_pairs(scenarios: Iterable[DescentScenario], fault: str | None) -> list[tuple[str, tuple[Verdict, ...]]]:
     """``(digest, verdicts)`` of each scenario, through one shape cache."""
-    cache: dict = {}
+    cache = ShapeCache()
     pairs = []
     for sc in scenarios:
         got = check_scenario(sc, fault, cache)
@@ -864,7 +911,7 @@ def run_descent_suite(spec: CampaignSpec, jobs: int = 1) -> VerdictStore:
 
 def _check_bucket_worker(args: tuple[list[DescentScenario], str | None]) -> list[tuple[str, tuple[Verdict, ...]]]:
     """A pool task: the ``(digest, verdicts)`` pairs of one shard.  Pickle's
-    memo sends each shape's verdict tuple once."""
+    memo sends each distinct verdict tuple once."""
     return _scenario_pairs(*args)
 
 

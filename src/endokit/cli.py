@@ -278,21 +278,28 @@ def coeff(kind, n, sizes, m, s0, signs, ambient, even_class, dbl_side, dim, am, 
 
 
 @main.command()
-@click.option("--scenario", "scenario_path", type=click.Path(exists=True), required=True)
+@click.option("--scenario", "scenario_path", type=click.Path(exists=True), default=None, help="scenario JSON file")
+@click.option("--digest", default=None, help="scenario digest, as a report's scenario column writes it")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="text")
 @click.option("--out", type=click.Path(), default=None)
-def descend_cmd(scenario_path: str, fmt: str, out: str | None) -> None:
-    """Descend one scenario file and verify every identity on it."""
-    with open(scenario_path) as fh:
-        text = fh.read()
+def descend_cmd(scenario_path: str | None, digest: str | None, fmt: str, out: str | None) -> None:
+    """Descend one scenario, from a file or a digest, and verify every identity on it."""
+    if (scenario_path is None) == (digest is None):
+        raise click.UsageError("give exactly one of --scenario and --digest")
     try:
-        sc = DescentScenario.from_json(text)
+        if digest is None:
+            with open(scenario_path) as fh:
+                sc = DescentScenario.from_json(fh.read())
+        else:
+            sc = DescentScenario.from_digest(digest)
         outcome = descend(sc)
+        amb = Ambient(outcome)
+        entries = enumerate_E_natural(outcome, amb)
+        checks = [verify_identities(outcome, amb, entry) for entry in entries]
+        idx = verify_index_sets(outcome, amb, entries)
     except (EndokitError, KeyError, ValueError) as exc:
         click.echo(f"domain error: {exc}", err=True)
         sys.exit(EXIT_DOMAIN_ERROR)
-    amb = Ambient(outcome)
-    entries = enumerate_E_natural(outcome, amb)
     rows = [
         {
             "object": "groups",
@@ -304,9 +311,8 @@ def descend_cmd(scenario_path: str, fmt: str, out: str | None) -> None:
         {"object": "index-set", "detail": f"{len(entries)} surviving (twist, Levi) pairs"},
     ]
     failed = False
-    for entry in entries:
-        checks = verify_identities(outcome, amb, entry)
-        status = "pass" if all(checks.values()) else "FAIL"
+    for entry, entry_checks in zip(entries, checks):
+        status = "pass" if all(entry_checks.values()) else "FAIL"
         failed = failed or status == "FAIL"
         rows.append(
             {
@@ -317,7 +323,6 @@ def descend_cmd(scenario_path: str, fmt: str, out: str | None) -> None:
                 ),
             }
         )
-    idx = verify_index_sets(outcome, amb, entries)
     failed = failed or not all(idx.values())
     rows.append({"object": "index-maps", "detail": json.dumps(idx, sort_keys=True)})
     _emit(rows, fmt, _out_path(out, f"descend.{fmt}"))

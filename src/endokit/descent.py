@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .catalog import FactorType, GroupType, bar, gl, so_even, so_odd, sp, u
+from .catalog import FORM_CLASSES, FactorType, GroupType, bar, gl, so_even, so_odd, sp, u
 from .endoscopy import EigenMultiset, EllipticDatumMeta, correspond_mu
 from .errors import InvariantViolation, MatchingFailure, ScenarioValidationError
 from .rootsofunity import RootOfUnity
@@ -138,6 +138,10 @@ def orbit_decomposition(ms: EigenMultiset, q: int) -> dict[Fraction, int]:
 # scenarios
 
 
+# The form classes of an orthogonal side, by the prefix ``digest`` keeps.
+_FORM_CLASSES = {c[:3]: c for c in FORM_CLASSES}
+
+
 @dataclass(frozen=True)
 class DescentScenario:
     """Fixed data of one descent: Levi, datum, Frobenius surrogate, eigenvalues."""
@@ -199,6 +203,38 @@ class DescentScenario:
             eps_dblprime=ms(data["eps_dblprime"]),
             form_class_prime=data.get("form_class_prime", "split"),
             form_class_dblprime=data.get("form_class_dblprime", "split"),
+        )
+
+    @staticmethod
+    def from_digest(digest: str) -> "DescentScenario":
+        """The scenario whose ``digest()`` is ``digest``.  An empty ``g``
+        field means no GL blocks, as every block holds an eigenvalue; each
+        form class is read back from its three-letter prefix."""
+        fields = digest.split(";")
+        if len(fields) != 9 or any(not f.startswith(tag) for f, tag in zip(fields, "nbsqgpd")):
+            raise ValueError(f"not a scenario digest: {digest!r}")
+        n, sizes, s0, q, eps_gl, eps_prime, eps_dblprime = (f[1:] for f in fields[:7])
+        m_prime, m_dblprime = s0.split(".")
+        classes = [_FORM_CLASSES.get(tag) for tag in fields[7:]]
+        if None in classes:
+            raise ValueError(f"unknown form class in scenario digest: {digest!r}")
+
+        def items(text: str) -> list[str]:
+            return text.split(",") if text else []
+
+        return DescentScenario.from_dict(
+            {
+                "n": n,
+                "sizes": items(sizes),
+                "m_prime": m_prime,
+                "m_dblprime": m_dblprime,
+                "q": q,
+                "eps_gl": [items(block) for block in eps_gl.split("|")] if eps_gl else [],
+                "eps_prime": items(eps_prime),
+                "eps_dblprime": items(eps_dblprime),
+                "form_class_prime": classes[0],
+                "form_class_dblprime": classes[1],
+            }
         )
 
     def to_json(self) -> str:

@@ -1,21 +1,30 @@
 """The descent suite's verdict store against the slow path, and the report
 built on it."""
 
+import ast
+import os
 from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 
 from endokit import campaign
 from endokit.campaign import (
     DESCENT_LAWS,
+    ENTRY_LAWS,
+    IDENTITY_LAWS,
+    INDEX_SET_LAWS,
     CampaignSpec,
     CheckRecord,
+    ShapeCache,
     VerificationReport,
     check_scenario,
+    outcome_shape,
     run_campaign,
     scenario_corpus,
 )
-from endokit.errors import EndokitError
+from endokit.descent import descend
+from endokit.errors import EndokitError, NotCommensurable
 
 
 @pytest.mark.parametrize("fault", [None, "corrupt-sbar0"])
@@ -34,6 +43,43 @@ def test_shape_cache_matches_uncached_checks(fault):
         want = {rec.check: rec for rec in check_scenario(sc, fault, None)}
         assert list(want) == list(DESCENT_LAWS)
         assert by_scenario[sc.digest()] == want, sc.digest()
+    # every distinct verdict tuple is held once
+    verdicts = [v for _, v in rep.descent.pairs]
+    assert len({id(v) for v in verdicts}) == len({repr(v) for v in verdicts})
+
+
+@pytest.mark.parametrize("fault,shapes", [(None, 1730), ("corrupt-sbar0", 1783)])
+def test_shape_keys_are_exact_strings(fault, shapes):
+    """Each shape key is the repr of a tuple of int/str/bool/None atoms, so
+    the strings are exactly as many as the tuples they print."""
+
+    def atoms(x):
+        if type(x) is tuple:
+            for y in x:
+                yield from atoms(y)
+        else:
+            yield x
+
+    keys = set()
+    for sc in scenario_corpus(CampaignSpec(max_rank=3)):
+        outcome = descend(sc)
+        keys.add(outcome_shape(campaign._corrupt_sbar0(outcome) if fault else outcome))
+    tuples = {ast.literal_eval(key) for key in keys}
+    assert len(keys) == len(tuples) == shapes
+    assert {type(a) for t in tuples for a in atoms(t)} <= {int, str, bool, type(None)}
+    assert all(repr(ast.literal_eval(key)) == key for key in keys)
+
+
+def test_interning_keeps_values_that_print_differently():
+    cache = ShapeCache()
+
+    def verdicts(value):
+        return (("check", "law", "fail", (("value", value),)),)
+
+    values = [True, 1, Fraction(1), Fraction(1, 2), 0.5]
+    held = [cache.intern(verdicts(v)) for v in values]
+    assert len({id(v) for v in held}) == len(values)
+    assert all(cache.intern(verdicts(v)) is h for v, h in zip(values, held))
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +114,7 @@ def test_handed_out_records_do_not_alias_the_store(rank2_mixed):
     again = [r for r in rep.records if r.witness]
     assert again and all("tampered" not in r.witness for r in again)
     sc = next(iter(scenario_corpus(CampaignSpec(max_rank=1))))
-    cache: dict = {}
+    cache = ShapeCache()
     entry_count = check_scenario(sc, None, cache)[-1]
     assert entry_count.check == "entry-count" and entry_count.witness
     entry_count.witness.clear()
@@ -116,13 +162,76 @@ def test_shards_keep_each_levi_shape_in_one_worker():
     assert [len(s) for s in campaign._shards(corpus[:5], 8)] == [5]
 
 
-def test_pool_checks_each_shape_once():
+def test_pool_checks_each_shape_once(tmp_path, monkeypatch):
+    """The pool's workers, forked with the logging ``_check_outcome`` below,
+    check between them exactly as many shapes as one process does."""
+    check = campaign._check_outcome
+    log = [tmp_path / "seq.log"]
+
+    def logged(outcome):
+        with open(log[0], "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return check(outcome)
+
+    def pids(path):
+        return path.read_text().split()
+
+    monkeypatch.setattr(campaign, "_check_outcome", logged)
     spec = CampaignSpec(max_rank=2, suites=("descent",))
     seq = run_campaign(spec).descent
+    log[0] = tmp_path / "par.log"
     par = run_campaign(spec, jobs=2).descent
     assert par.pairs == seq.pairs
+    seq_checks, par_checks = pids(tmp_path / "seq.log"), pids(tmp_path / "par.log")
+    assert len(par_checks) == len(seq_checks) > 0
+    assert set(seq_checks) == {str(os.getpid())}
+    assert len(set(par_checks)) == 2 and str(os.getpid()) not in par_checks
 
-    def shapes(store):
-        return len({id(v) for _, v in store.pairs})
 
-    assert shapes(par) == shapes(seq)
+@pytest.mark.parametrize(
+    "family,laws",
+    [
+        ("compatibility_check", ("sign-rule-vs-descent",)),
+        ("pushed_group_check", ("pushed-group",)),
+        ("verify_identities", IDENTITY_LAWS),
+        ("verify_index_sets", INDEX_SET_LAWS),
+        ("enumerate_E_natural", ENTRY_LAWS),
+        ("Ambient", ("pushed-group", *ENTRY_LAWS)),
+    ],
+)
+def test_check_error_fails_its_family_only(family, laws, monkeypatch):
+    """An error raised in one check family on one rank-1 shape fails that
+    family's laws on that shape's scenarios, and the run goes on."""
+    spec = CampaignSpec(max_rank=1, suites=("descent",))
+    clean = {(r.check, r.scenario): r for r in run_campaign(spec).records}
+    corpus = list(scenario_corpus(spec))
+    bad = outcome_shape(descend(corpus[0]))
+    bad_scenarios = [sc.digest() for sc in corpus if outcome_shape(descend(sc)) == bad]
+    assert len(bad_scenarios) == 5
+    original = getattr(campaign, family)
+
+    def failing(outcome, *args):
+        if outcome_shape(outcome) == bad:
+            raise NotCommensurable("first group is not contained in the second")
+        return original(outcome, *args)
+
+    monkeypatch.setattr(campaign, family, failing)
+    rep = run_campaign(spec)
+    assert len(rep.records) == len(clean)
+    failed = {(r.check, r.scenario) for r in rep.failures()}
+    assert failed == {(law, sc) for law in laws for sc in bad_scenarios}
+    for rec in rep.records:
+        if (rec.check, rec.scenario) in failed:
+            assert rec.witness == {"error": "first group is not contained in the second"}
+        else:
+            assert rec == clean[rec.check, rec.scenario]
+
+
+def test_law_families_match_the_checks():
+    sc = next(iter(scenario_corpus(CampaignSpec(max_rank=1))))
+    outcome = descend(sc)
+    amb = campaign.Ambient(outcome)
+    entries = campaign.enumerate_E_natural(outcome, amb)
+    assert entries
+    assert tuple(campaign.verify_identities(outcome, amb, entries[0])) == IDENTITY_LAWS
+    assert tuple(campaign.verify_index_sets(outcome, amb, entries)) == INDEX_SET_LAWS

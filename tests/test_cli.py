@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from endokit import cli
 from endokit.cli import main
 from endokit.descent import DescentScenario
 from endokit.endoscopy import EigenMultiset, EllipticDatumMeta
+from endokit.errors import NotCommensurable
 from endokit.rootsofunity import RootOfUnity
 
 
@@ -130,6 +133,32 @@ class TestDescendCommand:
         bad.write_text('{"n": 1, "sizes": [5], "m_prime": 0, "m_dblprime": 0, "q": 3, "eps_gl": [["0"]], "eps_prime": ["0"], "eps_dblprime": ["0"]}')
         result = runner.invoke(main, ["descend", "--scenario", str(bad)])
         assert result.exit_code == 3
+
+    def test_digest_replays_the_scenario_file(self, runner, scenario_file):
+        digest = DescentScenario.from_json(Path(scenario_file).read_text()).digest()
+        by_digest = runner.invoke(main, ["descend", "--digest", digest, "--format", "json"])
+        by_file = runner.invoke(main, ["descend", "--scenario", scenario_file, "--format", "json"])
+        assert by_digest.exit_code == by_file.exit_code == 0
+        assert by_digest.output == by_file.output
+
+    @pytest.mark.parametrize("digest", ["n1;b;s0.1", "n1;b;s0.1;q3;g;p0/1;d0/1;spl;xyz", "n1;b;sx;q3;g;p0/1;d0/1;spl;spl"])
+    def test_bad_digest_exits_three(self, runner, digest):
+        result = runner.invoke(main, ["descend", "--digest", digest])
+        assert result.exit_code == 3 and "domain error" in result.output
+
+    def test_needs_exactly_one_source(self, runner, scenario_file):
+        assert runner.invoke(main, ["descend"]).exit_code == 2
+        both = ["descend", "--scenario", scenario_file, "--digest", "n1;b;s0.1;q3;g;p0/1;d0/1;spl;spl"]
+        assert runner.invoke(main, both).exit_code == 2
+
+    def test_check_error_exits_three(self, runner, scenario_file, monkeypatch):
+        def failing(*args):
+            raise NotCommensurable("first group is not contained in the second")
+
+        monkeypatch.setattr(cli, "verify_identities", failing)
+        result = runner.invoke(main, ["descend", "--scenario", scenario_file])
+        assert result.exit_code == 3
+        assert "domain error: first group is not contained" in result.output
 
 
 class TestVerifyCommand:

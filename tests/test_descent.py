@@ -115,6 +115,15 @@ class TestValidation:
         text = UNITARY.to_json()
         assert DescentScenario.from_json(text) == UNITARY
 
+    def test_roundtrip_digest(self):
+        from endokit.campaign import CampaignSpec, scenario_corpus
+
+        corpus = list(scenario_corpus(CampaignSpec(max_rank=3)))
+        assert len(corpus) == 3154
+        ram = scenario(2, (), (0, 2), 3, (), ms(ONE), ms(MINUS, MINUS, ONE, MINUS, MINUS), "split", "ramified")
+        for sc in [*CORPUS, ram, *corpus]:
+            assert DescentScenario.from_digest(sc.digest()) == sc, sc.digest()
+
 
 class TestCentralizerTypes:
     def test_self_inverse_orbit_gives_unitary(self):
