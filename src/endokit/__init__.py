@@ -6,6 +6,7 @@ exactly, performs type-level descent at finite-order elements, and verifies
 the resulting coefficient identities by brute force.
 """
 
+from .ambient import Ambient, GEtaLevi
 from .catalog import (
     CoordinateLayout,
     EmbeddedLevi,
@@ -43,21 +44,10 @@ from .descent import (
     validate_scenario,
 )
 from .enatural import (
-    Ambient,
     ENaturalEntry,
-    EStElement,
-    GEtaLevi,
-    build_E_inst,
-    build_E_st,
     enumerate_E_natural,
-    enumerate_levis,
-    general_twist_check,
     pushed_group_check,
-    pushforward_levi,
-    sbar_of_t,
-    section_levi,
     tau_L_kernel,
-    tau_map,
     verify_identities,
     verify_index_sets,
 )
@@ -97,6 +87,7 @@ from .errors import (
     UnsupportedFactor,
     UnsupportedPairing,
 )
+from .indexsets import EStElement, build_E_inst, build_E_st, enumerate_levis, pushforward_levi, section_levi
 from .lattices import (
     DiagSubgroup,
     FiniteAbelianGroup,

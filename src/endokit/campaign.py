@@ -22,6 +22,7 @@ from operator import itemgetter
 from typing import TextIO
 
 from . import catalog
+from .ambient import Ambient
 from .catalog import GroupType, LeviDatum, gl, levi_data, levi_enumerate, layout_for, so_even, so_odd, sp, u
 from .descent import (
     DescentOutcome,
@@ -32,14 +33,10 @@ from .descent import (
     orbit_rep,
     is_self_inverse,
     pair_class_key,
+    placement,
+    placement_independent,
 )
-from .enatural import (
-    Ambient,
-    enumerate_E_natural,
-    pushed_group_check,
-    verify_identities,
-    verify_index_sets,
-)
+from .enatural import enumerate_E_natural, pushed_group_check, verify_identities, verify_index_sets
 from .endoscopy import (
     EigenMultiset,
     EllipticDatumMeta,
@@ -50,6 +47,7 @@ from .endoscopy import (
     i_meta,
 )
 from .errors import EndokitError
+from .indexsets import _eps_orientation, _eta_orientation
 from .lattices import (
     DiagSubgroup,
     arthur_product_check,
@@ -721,9 +719,6 @@ def outcome_shape(outcome: DescentOutcome) -> str:
     (exponents are numbered by first appearance), so it is exact and
     injective, and one flat string costs far less memory than the tuple.
     """
-    from .enatural import _eps_orientation, _eta_orientation
-    from .descent import placement, placement_independent
-
     classes: dict = {}
 
     def cls(exp) -> int:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -15,10 +16,11 @@ from fractions import Fraction
 
 import click
 
+from .ambient import Ambient
 from .campaign import SUITES, CampaignSpec, run_campaign
 from .catalog import LeviDatum, levi_data, sp, u
-from .descent import DescentScenario, descend
-from .enatural import Ambient, enumerate_E_natural, verify_identities, verify_index_sets
+from .descent import DescentScenario, compatibility_check, descend
+from .enatural import enumerate_E_natural, pushed_group_check, verify_identities, verify_index_sets
 from .endoscopy import (
     ArthurConfig,
     EigenMultiset,
@@ -278,7 +280,7 @@ def coeff(kind, n, sizes, m, s0, signs, ambient, even_class, dbl_side, dim, am, 
 
 
 @main.command()
-@click.option("--scenario", "scenario_path", type=click.Path(exists=True), default=None, help="scenario JSON file")
+@click.option("--scenario", "scenario_path", type=click.Path(exists=True, dir_okay=False), default=None, help="scenario JSON file")
 @click.option("--digest", default=None, help="scenario digest, as a report's scenario column writes it")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="text")
 @click.option("--out", type=click.Path(), default=None)
@@ -293,7 +295,12 @@ def descend_cmd(scenario_path: str | None, digest: str | None, fmt: str, out: st
         else:
             sc = DescentScenario.from_digest(digest)
         outcome = descend(sc)
+        twists = list(itertools.product((1, -1), repeat=outcome.i_count))
         amb = Ambient(outcome)
+        twist_laws = {
+            "sign-rule-vs-descent": all(compatibility_check(outcome, t) for t in twists),
+            "pushed-group": all(pushed_group_check(outcome, amb, t) for t in twists),
+        }
         entries = enumerate_E_natural(outcome, amb)
         checks = [verify_identities(outcome, amb, entry) for entry in entries]
         idx = verify_index_sets(outcome, amb, entries)
@@ -310,7 +317,7 @@ def descend_cmd(scenario_path: str | None, digest: str | None, fmt: str, out: st
         },
         {"object": "index-set", "detail": f"{len(entries)} surviving (twist, Levi) pairs"},
     ]
-    failed = False
+    failed = not all(twist_laws.values())
     for entry, entry_checks in zip(entries, checks):
         status = "pass" if all(entry_checks.values()) else "FAIL"
         failed = failed or status == "FAIL"
@@ -324,6 +331,7 @@ def descend_cmd(scenario_path: str | None, digest: str | None, fmt: str, out: st
             }
         )
     failed = failed or not all(idx.values())
+    rows.append({"object": "twist-laws", "detail": json.dumps(twist_laws, sort_keys=True)})
     rows.append({"object": "index-maps", "detail": json.dumps(idx, sort_keys=True)})
     _emit(rows, fmt, _out_path(out, f"descend.{fmt}"))
     if failed:

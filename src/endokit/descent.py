@@ -511,12 +511,6 @@ class DescentOutcome:
             return self.x_prime + self.y_dbl
         return self.x_dbl + self.y_prime
 
-    def u_slot_at(self, rep: Fraction) -> USlot | None:
-        for s in self.u_slots:
-            if s.eta_rep == rep:
-                return s
-        return None
-
     # -- groups of the diagram ------------------------------------------------
 
     @property

@@ -133,9 +133,6 @@ class EigenMultiset:
     def negate(self) -> "EigenMultiset":
         return EigenMultiset(tuple(sc_neg(x) for x in self.entries))
 
-    def union(self, other: "EigenMultiset") -> "EigenMultiset":
-        return EigenMultiset(self.entries + other.entries)
-
     def with_inverses(self) -> "EigenMultiset":
         """The multiset together with all inverses (GL block seen in Sp/SO)."""
         return EigenMultiset(self.entries + tuple(sc_inv(x) for x in self.entries))
@@ -538,19 +535,6 @@ class ArthurConfig:
             d = self.ambient.degree
             fs = [gl(s, 2 * d, self.ambient.ramified) for s in self.block_sizes]
             fs.append(u(self.u_datum.total, d, self.ambient.ramified))
-        return GroupType(tuple(fs))
-
-    @property
-    def endoscopic_levi(self) -> GroupType:
-        fs: list[FactorType] = []
-        if self.ambient.kind == "sp":
-            fs = [gl(s) for s in self.block_sizes]
-            fs += [sp(self.sp_datum.m_prime), so_even(self.sp_datum.even_rank, self.sp_datum.even_class)]
-        else:
-            d = self.ambient.degree
-            fs = [gl(s, 2 * d, self.ambient.ramified) for s in self.block_sizes]
-            fs += [u(self.u_datum.m_prime, d, self.ambient.ramified)]
-            fs += [u(self.u_datum.m_dblprime, d, self.ambient.ramified)]
         return GroupType(tuple(fs))
 
 

@@ -52,9 +52,6 @@ class RootOfUnity:
     def negate(self) -> "RootOfUnity":
         return RootOfUnity(self.exponent + Fraction(1, 2))
 
-    def frobenius(self, q: int) -> "RootOfUnity":
-        return RootOfUnity(self.exponent * q)
-
     @property
     def is_one(self) -> bool:
         return self.exponent == 0

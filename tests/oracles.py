@@ -3,8 +3,10 @@
 Everything here recomputes results by a route independent of the library
 code it checks: element enumeration for finite diagonalizable groups, coset
 counting for lattice indices, Gram determinants by cofactor expansion,
-rational subspaces and volume ratios by Fraction row reduction, and the
-torus coordinates of a descent outcome (one coordinate per eigenvalue).
+rational subspaces and volume ratios by Fraction row reduction, the
+torus coordinates of a descent outcome (one coordinate per eigenvalue), and
+the centralizer of a general twist (symbolic labels alongside signs) from
+the sign algebra alone.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from endokit.catalog import GroupType, gl, so_even, so_odd, sp, u
+from endokit.descent import gs_descended_types
+from endokit.indexsets import _eta_orientation
 from endokit.lattices import DiagSubgroup, IntLattice
 
 
@@ -270,7 +275,7 @@ def d_coefficient(
 
 def torus_layout(outcome):
     """Torus coordinates of a descent outcome, in the shape of
-    ``enatural.atom_layout``: (ambient width, block ranges, unitary
+    ``ambient.atom_layout``: (ambient width, block ranges, unitary
     prime-half ranges, unitary double-prime-half ranges, x'/y'/x''/y''
     ranges).  Every part spans its full width: blocks first, then each slot's
     two halves, then x', y', x'', y''."""
@@ -296,3 +301,108 @@ def torus_layout(outcome):
         )
     }
     return pos, blocks, u_prime, u_dbl, pm
+
+
+# ---------------------------------------------------------------------------
+# general twists: symbolic labels alongside signs
+
+
+Assignment = tuple  # per Levi block: +1, -1, or ("label", k)
+
+
+def _assign_value(b, assignment: Assignment) -> tuple:
+    """(label or None, sign) of a block under a general twist."""
+    if b.origin != "levi":
+        return (None, b.sbar0)
+    a = assignment[b.owner]
+    if a in (1, -1):
+        return (None, b.sbar0 * a)
+    return (a[1], b.sbar0)
+
+
+def separation_check(outcome, assignment: Assignment) -> bool:
+    """Two labeled blocks in one ambient factor can only collide through
+    equal labels, and then the base-point signs already agree.
+
+    This is the exact condition making the centralizer of the general twist
+    land inside the intermediate Levi."""
+    by_home: dict[tuple, list[tuple[int, int]]] = {}
+    for b in outcome.blocks:
+        if b.origin != "levi":
+            continue
+        a = assignment[b.owner]
+        if a in (1, -1):
+            continue
+        by_home.setdefault(b.home, []).append((a[1], b.sbar0))
+    for vals in by_home.values():
+        for (k1, s1), (k2, s2) in itertools.combinations(vals, 2):
+            # with free labels, s0 a_k = (s0' a_k')^{+-1} is solvable exactly
+            # when k = k' with equal base signs; the collision pattern must
+            # therefore reproduce label equality
+            if (k1 == k2) != (k1 == k2 and s1 == s2):
+                return False
+    return True
+
+
+def arthur_general_types(outcome, amb, assignment: Assignment) -> tuple[GroupType, GroupType]:
+    """Connected dual centralizer of the general twist at the top Levi:
+    (bar side, odd side), computed purely from the sign algebra."""
+    factors: list = []  # shared by both sides
+    bar_factors: list = []
+    odd_factors: list = []
+    for home in outcome.homes():
+        blocks = outcome.home_blocks(home)
+        classes: dict[tuple, int] = {}
+        if home[0] == "gl":  # orientation matters for labeled values
+            for b in blocks:
+                lab, sgn = _assign_value(b, assignment)
+                key = (lab, sgn) if lab is None else (lab, sgn, _eta_orientation(outcome, b))
+                classes[key] = classes.get(key, 0) + b.size
+            factors += [gl(classes[key], blocks[0].ext) for key in sorted(classes, key=str)]
+            continue
+        for b in blocks:
+            key = _assign_value(b, assignment)
+            classes[key] = classes.get(key, 0) + b.size
+        _, _, x0, y0, klass = amb.core_datum(home, (), ())
+        if home[0] == "sp":
+            x = x0 + classes.pop((None, 1), 0)
+            y = y0 + classes.pop((None, -1), 0)
+            bar_factors += [sp(x), so_even(y, klass)]
+            odd_factors += [so_odd(x), so_even(y, klass)]
+            ext = 1
+        else:
+            slot = amb.slots[home[1]]
+            cp = x0 + 2 * classes.pop((None, 1), 0)
+            cd = y0 + 2 * classes.pop((None, -1), 0)
+            factors += [u(rank, slot.d) for rank in (cp, cd) if rank]
+            ext = 2 * slot.d
+        factors += [gl(size, ext) for _, size in sorted(classes.items())]
+    return GroupType(tuple(factors + bar_factors)), GroupType(tuple(factors + odd_factors))
+
+
+def general_twist_check(outcome, amb, assignment: Assignment) -> bool:
+    """Pushed-group identity for a general twist: the symbolic centralizer
+    of the twist equals the descended centralizer of the twisted element."""
+    if not separation_check(outcome, assignment):
+        return False
+    a_bar, a_odd = arthur_general_types(outcome, amb, assignment)
+    full, full_bar = gs_descended_types(outcome, assignment)
+    return a_bar == full_bar and a_odd == full
+
+
+def general_assignments(i_count: int, max_labels: int = 2):
+    """Deterministic sweep of twist assignments: signs plus label patterns."""
+    values: list = [1, -1] + [("label", k) for k in range(max_labels)]
+    for combo in itertools.product(values, repeat=i_count):
+        labels = [v[1] for v in combo if isinstance(v, tuple)]
+        # labels must be used in increasing order to avoid relabeled duplicates
+        seen: list[int] = []
+        ok = True
+        for k in labels:
+            if k not in seen:
+                if k != len(seen):
+                    ok = False
+                    break
+                seen.append(k)
+        if ok:
+            yield combo

@@ -2,6 +2,8 @@
 built on it."""
 
 import ast
+import hashlib
+import json
 import os
 from collections import defaultdict
 from fractions import Fraction
@@ -27,12 +29,23 @@ from endokit.descent import descend
 from endokit.errors import EndokitError, NotCommensurable
 
 
+# sha256 of the rank-3 descent campaign's checks, json.dumps(indent=2,
+# sort_keys=True): a refactor of the check path must leave them byte-identical
+CHECKS_SHA256 = {
+    None: "6b8d2028b6c588e27e9587c97405e274afc97fe7bdd6bb83dfd23d0763e112a7",
+    "corrupt-sbar0": "1718d239b29228d00f140e1dfa49dfc7d0e08e6c1244e66ec340cc083307046e",
+}
+
+
 @pytest.mark.parametrize("fault", [None, "corrupt-sbar0"])
 def test_shape_cache_matches_uncached_checks(fault):
     """Every scenario of the rank-3 corpus: the campaign's records, which
-    share one verdict tuple per shape, equal an uncached check."""
+    share one verdict tuple per shape, equal an uncached check, and the
+    checks are byte for byte the pinned ones."""
     spec = CampaignSpec(max_rank=3, suites=("descent",), fault=fault)
     rep = run_campaign(spec)
+    checks = json.dumps(rep.body()["checks"], indent=2, sort_keys=True)
+    assert hashlib.sha256(checks.encode()).hexdigest() == CHECKS_SHA256[fault]
     by_scenario = defaultdict(dict)
     for rec in rep.records:
         by_scenario[rec.scenario][rec.check] = rec

@@ -128,6 +128,22 @@ class TestDescendCommand:
         rows = json.loads(result.output)
         assert any("surviving" in r["detail"] for r in rows)
 
+    def test_directory_is_a_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["descend", "--scenario", str(tmp_path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
+
+    @pytest.mark.parametrize("check,law", [("compatibility_check", "sign-rule-vs-descent"), ("pushed_group_check", "pushed-group")])
+    def test_failed_twist_law_exits_one(self, runner, scenario_file, monkeypatch, check, law):
+        rows = json.loads(runner.invoke(main, ["descend", "--scenario", scenario_file, "--format", "json"]).output)
+        laws = {"sign-rule-vs-descent": True, "pushed-group": True}
+        assert [json.loads(r["detail"]) for r in rows if r["object"] == "twist-laws"] == [laws]
+        monkeypatch.setattr(cli, check, lambda *args: False)
+        result = runner.invoke(main, ["descend", "--scenario", scenario_file, "--format", "json"])
+        assert result.exit_code == 1
+        rows = json.loads(result.output)
+        assert [json.loads(r["detail"]) for r in rows if r["object"] == "twist-laws"] == [{**laws, law: False}]
+
     def test_bad_file_exits_three(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 1, "sizes": [5], "m_prime": 0, "m_dblprime": 0, "q": 3, "eps_gl": [["0"]], "eps_prime": ["0"], "eps_dblprime": ["0"]}')

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from endokit.ambient import Ambient, atom_layout
 from endokit.catalog import GroupType, gl, so_even, so_odd, sp, u
 from endokit.descent import (
     DescentScenario,
@@ -13,29 +14,16 @@ from endokit.descent import (
     gs_descended_types,
     hypothesis_flags,
     sbar0_assign,
+    sigma,
     validate_scenario,
 )
-from endokit.enatural import (
-    Ambient,
-    atom_layout,
-    bottom_levi,
-    build_E_st,
-    enumerate_E_natural,
-    enumerate_levis,
-    general_assignments,
-    general_twist_check,
-    pushed_group_check,
-    pushforward_levi,
-    section_levi,
-    top_levi,
-    verify_identities,
-    verify_index_sets,
-)
+from endokit.enatural import enumerate_E_natural, pushed_group_check, verify_identities, verify_index_sets
 from endokit.endoscopy import EigenMultiset, EllipticDatumMeta
 from endokit.errors import ScenarioValidationError
+from endokit.indexsets import bottom_levi, build_E_st, enumerate_levis, pushforward_levi, section_levi, top_levi
 from endokit.lattices import diag_identity_component, diag_index
 from endokit.rootsofunity import RootOfUnity
-from oracles import torus_layout
+from oracles import general_assignments, general_twist_check, torus_layout
 
 R = RootOfUnity
 ONE = R.one()
@@ -342,17 +330,10 @@ class TestSplitOrbitExample:
 
 class TestTwistHomomorphism:
     def test_tau_spreads_diagonally(self):
-        from endokit.enatural import tau_map, sbar_of_t
-
         o = descend(MIXED)
         t = (-1,)
-        image = tau_map(o, t)
         for b in o.blocks:
-            assert image[b.bid] == (-1 if b.origin == "levi" else 1)
-        sbar = sbar_of_t(o, t)
-        base = sbar0_assign(o)
-        for b in o.blocks:
-            assert sbar[b.bid] == base[b.bid] * image[b.bid]
+            assert sigma(o, b, t) == b.sbar0 * (t[b.owner] if b.origin == "levi" else 1)
 
     def test_kernel_of_top_levi(self):
         from endokit.enatural import tau_L_kernel
@@ -368,7 +349,8 @@ class TestTwistHomomorphism:
         assert kern.is_finite and kern.order() == 2
 
     def test_kernel_matches_fiber_size(self):
-        from endokit.enatural import tau_L_kernel, einst_canon
+        from endokit.enatural import tau_L_kernel
+        from endokit.indexsets import einst_canon
 
         o = descend(MIXED)
         amb = Ambient(o)
@@ -445,7 +427,7 @@ class TestAtomCoordinates:
 
     @pytest.mark.parametrize("fault", [None, "corrupt-sbar0"])
     def test_atoms_match_torus_coordinates(self, fault, monkeypatch):
-        from endokit import enatural
+        from endokit import ambient
         from endokit.campaign import CampaignSpec, _corrupt_sbar0, scenario_corpus
 
         outcomes = []
@@ -453,7 +435,7 @@ class TestAtomCoordinates:
             o = descend(sc)
             outcomes.append(_corrupt_sbar0(o) if fault == "corrupt-sbar0" else o)
         on_atoms = [self._results(o) for o in outcomes]
-        monkeypatch.setattr(enatural, "atom_layout", torus_layout)
+        monkeypatch.setattr(ambient, "atom_layout", torus_layout)
         narrower = 0
         for o, want in zip(outcomes, on_atoms):
             assert Ambient(o).n == torus_layout(o)[0]
@@ -467,7 +449,7 @@ class TestMemoTables:
 
     @staticmethod
     def _clear_memo_tables():
-        from endokit import catalog, descent, enatural, lattices
+        from endokit import ambient, catalog, descent, lattices
 
         for table in (
             catalog.grouping_patterns,
@@ -475,7 +457,7 @@ class TestMemoTables:
             lattices.diag_product,
             lattices.diag_identity_component,
             lattices.diag_index,
-            enatural._d_squared,
+            ambient._d_squared,
             descent._gl_block_pairs,
             descent._odd_orthogonal_factors,
         ):

@@ -1,8 +1,15 @@
-"""Every module-level import in the package and the tests is used.
+"""Every module-level import in the package and the tests is used, and
+every definition in the package is read somewhere.
 
-An AST scan instead of a linter: a name bound by a top-level ``import`` or
-``from ... import`` must be read somewhere else in the same module.
-``__init__.py`` re-exports by importing, so it is not scanned.
+AST scans instead of a linter.  A name bound by a top-level ``import`` or
+``from ... import`` must be read somewhere else in the same module;
+``__init__.py`` re-exports by importing, so it is not scanned for imports.
+A top-level function or class of the package, or a method of one of its
+classes, must be read by name (a name, an attribute or an import, such as
+an ``__init__`` re-export) somewhere in the package or the tests.  Dunders
+are exempt, and so are functions under a decorator other than
+``property``, ``staticmethod`` and ``classmethod`` (click commands,
+memo tables), which the decorator registers or wraps.
 """
 
 import ast
@@ -11,11 +18,10 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    p
-    for p in [*(ROOT / "src" / "endokit").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((ROOT / "src" / "endokit").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+PLAIN_DECORATORS = {"property", "staticmethod", "classmethod"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +49,62 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(source: str) -> list[str]:
+    """Top-level functions and classes, and methods as ``Class.name``,
+    that the scan requires to be read."""
+    out = []
+    for node in ast.parse(source).body:
+        members = [(node, "")]
+        if isinstance(node, ast.ClassDef):
+            members += [(m, f"{node.name}.") for m in node.body]
+        for m, owner in members:
+            if not isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if m.name.startswith("__") and m.name.endswith("__"):
+                continue
+            plain = all(isinstance(d, ast.Name) and d.id in PLAIN_DECORATORS for d in m.decorator_list)
+            if isinstance(m, ast.ClassDef) or plain:
+                out.append(owner + m.name)
+    return out
+
+
+def names_read(source: str) -> set[str]:
+    names = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names.add(n.attr)
+        elif isinstance(n, ast.alias):
+            names.add(n.name.split(".")[-1])
+    return names
+
+
+def test_scan_flags_an_unread_definition():
+    source = (
+        "import click\n"
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "@click.command()\n"
+        "def cmd(): pass\n"
+        "class C:\n"
+        "    def __init__(self): self.x = used()\n"
+        "    @property\n"
+        "    def shown(self): pass\n"
+        "    def hidden(self): pass\n"
+        "print(C().shown)\n"
+    )
+    defined = definitions(source)
+    assert defined == ["used", "unused", "C", "C.shown", "C.hidden"]
+    read = names_read(source)
+    assert [d for d in defined if d.split(".")[-1] not in read] == ["unused", "C.hidden"]
+
+
+def test_every_definition_is_read():
+    read = set().union(*(names_read(p.read_text()) for p in SOURCES))
+    unread = [
+        f"{p.name}: {d}" for p in PACKAGE for d in definitions(p.read_text()) if d.split(".")[-1] not in read
+    ]
+    assert unread == []
