@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -63,7 +62,7 @@ class GEtaLevi:
 
 
 Atoms = tuple[int, ...]
-Layout = tuple[int, dict[int, Atoms], dict[Fraction, Atoms], dict[Fraction, Atoms], dict[str, Atoms]]
+Layout = tuple[int, dict[int, Atoms], dict[int, Atoms], dict[int, Atoms], dict[str, Atoms]]
 Parts = list[tuple[str, Atoms]]
 CoreDatum = tuple[Atoms, Atoms, int, int, str]
 
@@ -185,8 +184,11 @@ class Ambient:
         raise KeyError(home)
 
     def absorbed(self, levi: GEtaLevi, home: tuple) -> tuple[Block, ...]:
-        grouped = levi.grouped_bids()
-        return tuple(b for b in self.outcome.home_blocks(home) if b.bid not in grouped)
+        def build() -> tuple[Block, ...]:
+            grouped = levi.grouped_bids()
+            return tuple(b for b in self.outcome.home_blocks(home) if b.bid not in grouped)
+
+        return self._cached(("absorbed", levi, home), build)
 
     def core_datum(self, home: tuple, absorbed: Sequence[Block], signs: Sequence[int]) -> CoreDatum:
         """The datum of the core at ``home`` after absorbing blocks with
@@ -284,7 +286,7 @@ class Ambient:
     def z_l(self, levi: GEtaLevi) -> DiagSubgroup:
         def parts() -> Parts:
             out: Parts = []
-            for home in self.outcome.homes():
+            for home in self.outcome.homes:
                 blocks = self.absorbed(levi, home)
                 if home[0] == "gl":
                     if blocks:
@@ -310,7 +312,7 @@ class Ambient:
                 if len({sigma(self.outcome, self.block[bid], t) for bid, _ in grp}) != 1:
                     raise InvariantViolation("pushed center needs sign-pure groups")
             out: Parts = []
-            for home in self.outcome.homes():
+            for home in self.outcome.homes:
                 if home[0] == "gl":
                     continue
                 plus, minus, _, _, _ = self.twisted_core(levi, home, t)
@@ -343,7 +345,7 @@ class Ambient:
                 factors.append(gl(by_sign[s], ext))
         bar_factors = list(factors)
         odd_factors = list(factors)
-        for home in self.outcome.homes():
+        for home in self.outcome.homes:
             if home[0] == "gl":
                 continue
             _, _, x, y, klass = self.twisted_core(levi, home, t)

@@ -18,6 +18,7 @@ import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import gcd, lcm
 from operator import itemgetter
 from typing import TextIO
 
@@ -29,9 +30,9 @@ from .descent import (
     DescentScenario,
     compatibility_check,
     descend,
-    orbit_of,
-    orbit_rep,
     is_self_inverse,
+    orbit_inverse,
+    orbit_of,
     pair_class_key,
     placement,
     placement_independent,
@@ -331,30 +332,25 @@ class VerificationReport:
 # deterministic scenario corpus
 
 
-def _orbit_inventory(orders: Sequence[int], q: int) -> list[tuple[Fraction, int]]:
-    """All Frobenius orbits of allowed exponents coprime to q: (rep, size)."""
-    from math import gcd
-
+def _orbit_inventory(orders: Sequence[int], L: int, q: int) -> list[tuple[int, int]]:
+    """All Frobenius orbits of allowed exponents coprime to q: (rep, size),
+    on the exponent residues mod ``L`` of ``endokit.descent``."""
     exps = set()
     for order in sorted(set(orders)):
-        if gcd(order, q) != 1:
-            continue
-        for j in range(order):
-            f = Fraction(j, order)
-            if f.denominator == order:
-                exps.add(f)
+        if gcd(order, q) == 1:
+            exps.update(j * (L // order) for j in range(order) if gcd(j, order) == 1)
     out = []
-    seen: set[Fraction] = set()
-    for e in sorted(exps):
-        if e in seen:
+    seen: set[int] = set()
+    for r in sorted(exps):
+        if r in seen:
             continue
-        orb = orbit_of(e, q)
+        orb = orbit_of(r, L, q)
         seen.update(orb)
-        out.append((orbit_rep(orb), len(orb)))
+        out.append((min(orb), len(orb)))
     return out
 
 
-def _orbit_multisets(inventory: Sequence[tuple[Fraction, int]], size: int) -> Iterator[tuple[tuple[Fraction, int], ...]]:
+def _orbit_multisets(inventory: Sequence[tuple[int, int]], size: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """Multisets of orbits with total weight ``size``: ((rep, mult), ...)."""
 
     def rec(idx: int, rest: int, acc: tuple) -> Iterator[tuple]:
@@ -370,33 +366,32 @@ def _orbit_multisets(inventory: Sequence[tuple[Fraction, int]], size: int) -> It
     yield from rec(0, size, ())
 
 
-def _expand(orbits: Iterable[tuple[Fraction, int]], q: int) -> EigenMultiset:
+def _expand(orbits: Iterable[tuple[int, int]], L: int, q: int) -> EigenMultiset:
     entries = []
     for rep, mult in orbits:
-        for e in sorted(orbit_of(rep, q)):
-            entries.extend([RootOfUnity(e)] * mult)
+        for r in sorted(orbit_of(rep, L, q)):
+            entries.extend([RootOfUnity.of(r, L)] * mult)
     return EigenMultiset.of(entries)
 
 
 def _orthogonal_multisets(
-    inventory: Sequence[tuple[Fraction, int]], q: int, size: int
+    inventory: Sequence[tuple[int, int]], L: int, q: int, size: int
 ) -> Iterator[EigenMultiset]:
     """Inversion-closed multisets with +1 of odd multiplicity, given size."""
-    items: list[tuple[tuple[Fraction, ...], int]] = []  # (reps, weight)
-    seen_pairs: set[Fraction] = set()
+    items: list[tuple[tuple[int, ...], int]] = []  # (reps, weight)
+    seen_pairs: set[int] = set()
     for rep, w in inventory:
-        if rep in (Fraction(0), Fraction(1, 2)):
+        if rep in (0, L // 2):
             continue
-        orb = orbit_of(rep, q)
-        if is_self_inverse(orb):
+        orb = orbit_of(rep, L, q)
+        if is_self_inverse(orb, L):
             items.append(((rep,), w))
         else:
-            key = pair_class_key(orb)
+            key = pair_class_key(orb, L)
             if key in seen_pairs:
                 continue
             seen_pairs.add(key)
-            inv_rep = orbit_rep(frozenset((-e) % 1 for e in orb))
-            items.append(((rep, inv_rep), 2 * w))
+            items.append(((rep, min(orbit_inverse(orb, L))), 2 * w))
     for plus in range(1, size + 1, 2):
         for minus in range(0, size - plus + 1, 2):
             rest = size - plus - minus
@@ -413,31 +408,33 @@ def _orthogonal_multisets(
                     yield from rec(idx + 1, left - mult * w, acc + tail)
 
             for combo in rec(0, rest, ()):
-                orbits = [(Fraction(0), plus)]
+                orbits = [(0, plus)]
                 if minus:
-                    orbits.append((Fraction(1, 2), minus))
+                    orbits.append((L // 2, minus))
                 orbits.extend(combo)
-                yield _expand(orbits, q)
+                yield _expand(orbits, L, q)
 
 
-def _gl_multisets(inventory: Sequence[tuple[Fraction, int]], q: int, size: int) -> Iterator[EigenMultiset]:
+def _gl_multisets(inventory: Sequence[tuple[int, int]], L: int, q: int, size: int) -> Iterator[EigenMultiset]:
     for combo in _orbit_multisets(inventory, size):
-        yield _expand(combo, q)
+        yield _expand(combo, L, q)
 
 
 def scenario_corpus(spec: CampaignSpec) -> Iterator[DescentScenario]:
     """Every validated scenario within the campaign bounds, under the
-    unramified hypothesis; deterministic lexicographic order."""
+    unramified hypothesis; deterministic lexicographic order.  Exponents are
+    built as residues mod the lcm of 2 and every allowed order."""
+    L = lcm(2, *spec.orders)
     for n in range(1, spec.max_rank + 1):
         for datum in levi_data(n):
             sizes, m = datum.sizes, datum.remainder
             for q in sorted(set(spec.q_values)):
-                inventory = _orbit_inventory(spec.orders, q)
-                gl_options = [list(_gl_multisets(inventory, q, s)) for s in sizes]
+                inventory = _orbit_inventory(spec.orders, L, q)
+                gl_options = [list(_gl_multisets(inventory, L, q, s)) for s in sizes]
                 for mp in range(m + 1):
                     md = m - mp
-                    primes = list(_orthogonal_multisets(inventory, q, 2 * mp + 1))
-                    dbls = list(_orthogonal_multisets(inventory, q, 2 * md + 1))
+                    primes = list(_orthogonal_multisets(inventory, L, q, 2 * mp + 1))
+                    dbls = list(_orthogonal_multisets(inventory, L, q, 2 * md + 1))
                     for eps_gl in itertools.product(*gl_options) if gl_options else [()]:
                         for eps_p in primes:
                             minus_p = sum(1 for x in eps_p.entries if x.is_minus_one)
@@ -718,16 +715,17 @@ def outcome_shape(outcome: DescentOutcome) -> str:
     a nested tuple whose atoms are ``int``, ``str``, ``bool`` and ``None``
     (exponents are numbered by first appearance), so it is exact and
     injective, and one flat string costs far less memory than the tuple.
+    Which members are exponents is fixed by position: the second member of a
+    ``u`` or ``gl`` home, the third member of a placement, and a slot's
+    ``eta_rep``; exponents are ints too, so no type test could tell them.
     """
-    classes: dict = {}
+    classes: dict[int, int] = {}
 
-    def cls(exp) -> int:
-        if exp not in classes:
-            classes[exp] = len(classes)
-        return classes[exp]
+    def cls(exp: int) -> int:
+        return classes.setdefault(exp, len(classes))
 
-    def classify(key: tuple) -> tuple:
-        return tuple(cls(x) if isinstance(x, Fraction) else x for x in key)
+    def classify(place: tuple) -> tuple:
+        return place if len(place) == 2 else (place[0], place[1], cls(place[2]))
 
     i_count = outcome.i_count
     blocks_shape = []

@@ -10,6 +10,13 @@ placement data every later identity consumes.
 Galois theory is replaced throughout by orbit combinatorics: q acts on
 root-of-unity exponents by multiplication, orbits play the role of field
 extensions, and self-inverse orbits are the unitary ones.
+
+Every exponent on this path is an int residue.  A scenario's modulus L is
+the lcm of 2 and the order of every eigenvalue in it; the exponent j/N is the
+residue r = j * (L/N) in [0, L).  The orbit of r is {r * q^k mod L}, its
+inverse is -r mod L and its negation r + L/2 mod L.  The map r -> r/L keeps
+order, so every ``sorted`` and ``min`` picks what it would pick on Q/Z.
+Fractions appear only where an exponent is printed or parsed.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .catalog import FORM_CLASSES, FactorType, GroupType, bar, gl, so_even, so_odd, sp, u
@@ -26,112 +34,101 @@ from .endoscopy import EigenMultiset, EllipticDatumMeta, correspond_mu
 from .errors import InvariantViolation, MatchingFailure, ScenarioValidationError
 from .rootsofunity import RootOfUnity
 
-HALF = Fraction(1, 2)
-ZERO = Fraction(0)
-
 
 # ---------------------------------------------------------------------------
-# orbit combinatorics
+# orbit combinatorics, on residues r mod L
 
 
-_orbit_cache: dict[tuple[int, int, int], frozenset[Fraction]] = {}
+def exponent_modulus(multisets: Iterable[EigenMultiset]) -> int:
+    """The modulus L of a family of multisets: the lcm of 2 and the order of
+    every root of unity among their entries."""
+    return lcm(2, *(x.order for ms in multisets for x in ms.entries if isinstance(x, RootOfUnity)))
 
 
-def orbit_of(exp: Fraction, q: int) -> frozenset[Fraction]:
-    # keyed on the reduced pair: hashing a Fraction runs a modular inverse
-    key = (exp.numerator % exp.denominator, exp.denominator, q)
+_orbit_cache: dict[tuple[int, int, int], frozenset[int]] = {}
+
+
+def orbit_of(r: int, L: int, q: int) -> frozenset[int]:
+    key = (r, L, q)
     got = _orbit_cache.get(key)
     if got is None:
         out = set()
-        e = exp % 1
-        while e not in out:
-            out.add(e)
-            e = (e * q) % 1
-        got = frozenset(out)
-        _orbit_cache[key] = got
+        while r not in out:
+            out.add(r)
+            r = r * q % L
+        got = _orbit_cache[key] = frozenset(out)
     return got
 
 
-def orbit_rep(orbit: Iterable[Fraction]) -> Fraction:
-    return min(orbit)
+def orbit_inverse(orbit: Iterable[int], L: int) -> frozenset[int]:
+    return frozenset(-r % L for r in orbit)
 
 
-def orbit_inverse(orbit: Iterable[Fraction]) -> frozenset[Fraction]:
-    return frozenset((-e) % 1 for e in orbit)
+def orbit_negate(orbit: Iterable[int], L: int) -> frozenset[int]:
+    return frozenset((r + L // 2) % L for r in orbit)
 
 
-def orbit_negate(orbit: Iterable[Fraction]) -> frozenset[Fraction]:
-    return frozenset((e + HALF) % 1 for e in orbit)
+def is_self_inverse(orbit: frozenset[int], L: int) -> bool:
+    return orbit == orbit_inverse(orbit, L)
 
 
-def is_self_inverse(orbit: frozenset[Fraction]) -> bool:
-    return orbit == orbit_inverse(orbit)
-
-
-def pair_class_key(orbit: frozenset[Fraction]) -> Fraction:
+def pair_class_key(orbit: frozenset[int], L: int) -> int:
     """Canonical key of the unordered pair {orbit, inverse orbit}."""
-    return min(orbit_rep(orbit), orbit_rep(orbit_inverse(orbit)))
+    return min(min(orbit), min(orbit_inverse(orbit, L)))
 
 
 _exp_cache: dict[tuple[str, int, int, int], object] = {}
 
 
-def _exp_cached(tag: str, exp: Fraction, q: int, compute):
-    key = (tag, exp.numerator % exp.denominator, exp.denominator, q)
+def _exp_cached(tag: str, r: int, L: int, q: int, compute):
+    key = (tag, r, L, q)
     got = _exp_cache.get(key)
     if got is None:
-        got = compute()
-        _exp_cache[key] = got
+        got = _exp_cache[key] = compute()
     return got
 
 
-def _pair_key_exp(exp: Fraction, q: int) -> Fraction:
-    return _exp_cached("pair", exp, q, lambda: pair_class_key(orbit_of(exp, q)))
+def _pair_key_exp(r: int, L: int, q: int) -> int:
+    return _exp_cached("pair", r, L, q, lambda: pair_class_key(orbit_of(r, L, q), L))
 
 
-def _neg_rep_exp(exp: Fraction, q: int) -> Fraction:
-    return _exp_cached("neg", exp, q, lambda: orbit_rep(orbit_negate(orbit_of(exp, q))))
+def _neg_rep_exp(r: int, L: int, q: int) -> int:
+    return _exp_cached("neg", r, L, q, lambda: min(orbit_negate(orbit_of(r, L, q), L)))
 
 
-def _self_inverse_exp(exp: Fraction, q: int) -> bool:
-    return _exp_cached("selfinv", exp, q, lambda: is_self_inverse(orbit_of(exp, q)))
+def _self_inverse_exp(r: int, L: int, q: int) -> bool:
+    return _exp_cached("selfinv", r, L, q, lambda: is_self_inverse(orbit_of(r, L, q), L))
 
 
-def _exponent_counts(ms: EigenMultiset) -> dict[Fraction, int]:
-    counts: dict[Fraction, int] = {}
+def _exponent_counts(ms: EigenMultiset, L: int) -> dict[int, int]:
+    counts: dict[int, int] = {}
     for x in ms.entries:
         if not isinstance(x, RootOfUnity):
             raise InvariantViolation("descent multisets must consist of roots of unity")
-        counts[x.exponent] = counts.get(x.exponent, 0) + 1
+        j, n = x.pair
+        r = j * (L // n)
+        counts[r] = counts.get(r, 0) + 1
     return counts
 
 
-def _orbit_decomposition_counts(counts: dict[Fraction, int], q: int) -> dict[Fraction, int]:
-    out: dict[Fraction, int] = {}
-    seen: set[Fraction] = set()
-    for e in sorted(counts):
-        if e in seen:
+def _orbit_decomposition_counts(counts: dict[int, int], L: int, q: int) -> dict[int, int]:
+    """Map orbit representative -> multiplicity, in representative order;
+    requires q-stability."""
+    out: dict[int, int] = {}
+    seen: set[int] = set()
+    for r in sorted(counts):
+        if r in seen:
             continue
-        orb = orbit_of(e, q)
-        mult = counts.get(e, 0)
+        orb = orbit_of(r, L, q)
+        mult = counts[r]
         for f in orb:
             if counts.get(f, 0) != mult:
                 raise InvariantViolation(
-                    f"multiset is not Frobenius stable at exponent {e} (q={q})"
+                    f"multiset is not Frobenius stable at exponent {Fraction(r, L)} (q={q})"
                 )
             seen.add(f)
-        out[orbit_rep(orb)] = mult
+        out[min(orb)] = mult
     return out
-
-
-@lru_cache(maxsize=None)
-def _orbit_dec_cached(ms: EigenMultiset, q: int) -> tuple[tuple[Fraction, int], ...]:
-    return tuple(sorted(_orbit_decomposition_counts(_exponent_counts(ms), q).items()))
-
-
-def orbit_decomposition(ms: EigenMultiset, q: int) -> dict[Fraction, int]:
-    """Map orbit representative -> multiplicity; requires q-stability."""
-    return dict(_orbit_dec_cached(ms, q))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +156,11 @@ class DescentScenario:
     @property
     def m(self) -> int:
         return self.n - sum(self.sizes)
+
+    @cached_property
+    def modulus(self) -> int:
+        """The modulus L of every exponent residue on the descent path."""
+        return exponent_modulus((self.eps_prime, self.eps_dblprime, *self.eps_gl))
 
     def digest(self) -> str:
         parts = [
@@ -191,7 +193,7 @@ class DescentScenario:
     @staticmethod
     def from_dict(data: dict) -> "DescentScenario":
         def ms(entries: Sequence[str]) -> EigenMultiset:
-            return EigenMultiset.of(RootOfUnity(Fraction(s)) for s in entries)
+            return EigenMultiset.of(RootOfUnity(s) for s in entries)
 
         return DescentScenario(
             n=int(data["n"]),
@@ -264,26 +266,23 @@ def _is_prime_power(q: int) -> bool:
 
 @lru_cache(maxsize=None)
 class _MultisetProfile:
-    """Cached per-multiset analysis shared by validation and descent."""
+    """Cached per-multiset analysis shared by validation and descent, on
+    residues mod ``L``."""
 
-    def __init__(self, ms: EigenMultiset, q: int):
-        from math import gcd
-
+    def __init__(self, ms: EigenMultiset, L: int, q: int):
         self.size = len(ms.entries)
         self.rational_entries = any(not isinstance(x, RootOfUnity) for x in ms.entries)
         if self.rational_entries:
             return
         self.coprime = all(gcd(q, x.order) == 1 for x in ms.entries)
-        counts = _exponent_counts(ms)
-        self.mult_one = counts.get(ZERO, 0)
-        self.mult_minus = counts.get(HALF, 0)
-        self.inversion_closed = all(
-            counts.get((-e) % 1, 0) == k for e, k in counts.items()
-        )
+        counts = _exponent_counts(ms, L)
+        self.mult_one = counts.get(0, 0)
+        self.mult_minus = counts.get(L // 2, 0)
+        self.inversion_closed = all(counts.get(-r % L, 0) == k for r, k in counts.items())
         self.stable_error: str | None = None
-        self.dec: dict[Fraction, int] = {}
+        self.dec: dict[int, int] = {}
         try:
-            self.dec = _orbit_decomposition_counts(counts, q)
+            self.dec = _orbit_decomposition_counts(counts, L, q)
         except InvariantViolation as exc:
             self.stable_error = str(exc)
 
@@ -305,10 +304,11 @@ def validate_scenario(sc: DescentScenario) -> DescentScenario:
         bad.append("q must be odd: the class correspondence negates eigenvalues")
     if len(sc.eps_gl) != len(sc.sizes):
         bad.append("one eigenvalue multiset per GL block is required")
+    L = sc.modulus
     profiles = [
-        ("prime", _MultisetProfile(sc.eps_prime, sc.q)),
-        ("dblprime", _MultisetProfile(sc.eps_dblprime, sc.q)),
-    ] + [(f"block {i}", _MultisetProfile(ms, sc.q)) for i, ms in enumerate(sc.eps_gl)]
+        ("prime", _MultisetProfile(sc.eps_prime, L, sc.q)),
+        ("dblprime", _MultisetProfile(sc.eps_dblprime, L, sc.q)),
+    ] + [(f"block {i}", _MultisetProfile(ms, L, sc.q)) for i, ms in enumerate(sc.eps_gl)]
     for name, prof in profiles:
         if prof.rational_entries:
             bad.append(f"{name}: all eigenvalues must be roots of unity")
@@ -360,74 +360,59 @@ def hypothesis_flags(sc: DescentScenario) -> tuple[bool, bool]:
 # centralizer types
 
 
-def _orbit_factors(
-    rep: Fraction, mult: int, q: int, seen_pairs: set[Fraction]
-) -> list[tuple[FactorType, Fraction]]:
-    orb = orbit_of(rep, q)
-    if is_self_inverse(orb):
-        return [(u(mult, len(orb) // 2), rep)]
-    key = pair_class_key(orb)
-    if key in seen_pairs:
-        return []
-    seen_pairs.add(key)
-    return [(gl(mult, len(orb)), key)]
-
-
-def centralizer_factors(
-    ms: EigenMultiset, q: int, kind: str, form_tag_minus: str = "split"
-) -> list[tuple[FactorType, Fraction | None]]:
-    """Centralizer factor list of an element with the given eigenvalues.
-
-    ``kind`` is "symplectic", "odd_orthogonal" or "gl"; the second member of
-    each pair is the orbit key (None for the +-1 factors).
-    """
-    return _centralizer_factors_counts(_exponent_counts(ms), q, kind, form_tag_minus)
-
-
-def _centralizer_factors_counts(
-    counts: dict[Fraction, int], q: int, kind: str, form_tag_minus: str = "split"
-) -> list[tuple[FactorType, Fraction | None]]:
-    dec = _orbit_decomposition_counts(counts, q)
-    out: list[tuple[FactorType, Fraction | None]] = []
-    seen_pairs: set[Fraction] = set()
-    for rep in sorted(dec):
-        mult = dec[rep]
-        if rep == ZERO:
-            if kind == "symplectic":
-                if mult % 2:
-                    raise InvariantViolation("odd +1 multiplicity in a symplectic class")
-                out.append((sp(mult // 2), None))
-            elif kind == "odd_orthogonal":
-                if mult % 2 == 0:
-                    raise InvariantViolation("even +1 multiplicity in an odd orthogonal class")
-                out.append((so_odd((mult - 1) // 2), None))
-            else:
-                out.append((gl(mult), ZERO))
-        elif rep == HALF:
-            if kind == "symplectic":
-                if mult % 2:
-                    raise InvariantViolation("odd -1 multiplicity in a symplectic class")
-                out.append((sp(mult // 2), None))
-            elif kind == "odd_orthogonal":
-                if mult % 2:
-                    raise InvariantViolation("odd -1 multiplicity in an odd orthogonal class")
-                out.append((so_even(mult // 2, form_tag_minus if mult else "split"), None))
-            else:
-                out.append((gl(mult), HALF))
-        else:
-            if kind == "gl":
-                orb = orbit_of(rep, q)
-                out.append((gl(mult, len(orb)), rep))
-            else:
-                out.extend(_orbit_factors(rep, mult, q, seen_pairs))
-    return out
-
-
 def centralizer_type(
     ms: EigenMultiset, q: int, kind: str, form_tag_minus: str = "split"
 ) -> GroupType:
-    """Centralizer type of an element with the given eigenvalue multiset."""
-    return GroupType(tuple(f for f, _ in centralizer_factors(ms, q, kind, form_tag_minus)))
+    """Centralizer type of an element with the given eigenvalue multiset.
+
+    ``kind`` is "symplectic", "odd_orthogonal" or "gl"."""
+    L = exponent_modulus((ms,))
+    return GroupType(_centralizer_factors_counts(_exponent_counts(ms, L), L, q, kind, form_tag_minus))
+
+
+def _centralizer_factors_counts(
+    counts: dict[int, int], L: int, q: int, kind: str, form_tag_minus: str = "split"
+) -> tuple[FactorType, ...]:
+    """Centralizer factors of an element by its exponent counts mod ``L``:
+    one per orbit, and one per pair of mutually inverse orbits outside GL."""
+    half = L // 2
+    out: list[FactorType] = []
+    seen_pairs: set[int] = set()
+    for rep, mult in _orbit_decomposition_counts(counts, L, q).items():
+        if rep == 0:
+            if kind == "symplectic":
+                if mult % 2:
+                    raise InvariantViolation("odd +1 multiplicity in a symplectic class")
+                out.append(sp(mult // 2))
+            elif kind == "odd_orthogonal":
+                if mult % 2 == 0:
+                    raise InvariantViolation("even +1 multiplicity in an odd orthogonal class")
+                out.append(so_odd((mult - 1) // 2))
+            else:
+                out.append(gl(mult))
+        elif rep == half:
+            if kind == "symplectic":
+                if mult % 2:
+                    raise InvariantViolation("odd -1 multiplicity in a symplectic class")
+                out.append(sp(mult // 2))
+            elif kind == "odd_orthogonal":
+                if mult % 2:
+                    raise InvariantViolation("odd -1 multiplicity in an odd orthogonal class")
+                out.append(so_even(mult // 2, form_tag_minus if mult else "split"))
+            else:
+                out.append(gl(mult))
+        else:
+            orb = orbit_of(rep, L, q)
+            if kind == "gl":
+                out.append(gl(mult, len(orb)))
+            elif is_self_inverse(orb, L):
+                out.append(u(mult, len(orb) // 2))
+            else:
+                key = pair_class_key(orb, L)
+                if key not in seen_pairs:
+                    seen_pairs.add(key)
+                    out.append(gl(mult, len(orb)))
+    return tuple(out)
 
 
 def eta_from_epsilon(sc: DescentScenario) -> tuple[tuple[EigenMultiset, ...], EigenMultiset]:
@@ -453,8 +438,8 @@ class Block:
     tag: str  # "+" | "-" | "U"
     home: tuple
     sbar0: int
-    eta_exp: Fraction
-    eps_exp: Fraction
+    eta_exp: int  # residues mod the scenario's modulus
+    eps_exp: int
 
     @property
     def width(self) -> int:
@@ -465,7 +450,7 @@ class Block:
 class USlot:
     """Core slot of one self-inverse orbit: unitary on both sides."""
 
-    eta_rep: Fraction
+    eta_rep: int  # a residue mod the scenario's modulus
     d: int
     k_prime: int
     k_dbl: int
@@ -489,22 +474,24 @@ class DescentOutcome:
     pulled_prime: bool  # split rank-one even part converted to a GL block
     pulled_dbl: bool
 
-    # -- homes ---------------------------------------------------------------
+    # -- homes (an outcome is frozen, so each is derived once) ---------------
+
+    @cached_property
+    def _blocks_by_home(self) -> dict[tuple, tuple[Block, ...]]:
+        by_home: dict[tuple, list[Block]] = {}
+        for b in self.blocks:
+            by_home.setdefault(b.home, []).append(b)
+        return {home: tuple(blocks) for home, blocks in by_home.items()}
 
     def home_blocks(self, home: tuple) -> tuple[Block, ...]:
-        return tuple(b for b in self.blocks if b.home == home)
+        return self._blocks_by_home.get(home, ())
 
+    @cached_property
     def homes(self) -> tuple[tuple, ...]:
-        keys = []
-        for key in (("sp", 1), ("sp", -1)):
-            if self.home_blocks(key) or self._sp_core_rank(key):
-                keys.append(key)
-        for s in self.u_slots:
-            keys.append(("u", s.eta_rep))
-        for b in self.blocks:
-            if b.home[0] == "gl" and b.home not in keys:
-                keys.append(b.home)
-        return tuple(sorted(keys, key=lambda k: (k[0], k[1])))
+        keys = [key for key in (("sp", 1), ("sp", -1)) if self.home_blocks(key) or self._sp_core_rank(key)]
+        keys += [("u", s.eta_rep) for s in self.u_slots]
+        keys += [home for home in self._blocks_by_home if home[0] == "gl"]
+        return tuple(sorted(keys))
 
     def _sp_core_rank(self, key: tuple) -> int:
         if key == ("sp", 1):
@@ -569,14 +556,15 @@ class DescentOutcome:
 def descend(sc: DescentScenario) -> DescentOutcome:
     """Build the matched block/slot structure of a validated scenario."""
     validate_scenario(sc)
-    q = sc.q
-    dec_p = _MultisetProfile(sc.eps_prime, q).dec
-    dec_d = _MultisetProfile(sc.eps_dblprime, q).dec
+    q, L = sc.q, sc.modulus
+    half = L // 2
+    dec_p = _MultisetProfile(sc.eps_prime, L, q).dec
+    dec_d = _MultisetProfile(sc.eps_dblprime, L, q).dec
 
-    mult_p_one = dec_p.get(ZERO, 0)
-    mult_p_minus = dec_p.get(HALF, 0)
-    mult_d_one = dec_d.get(ZERO, 0)
-    mult_d_minus = dec_d.get(HALF, 0)
+    mult_p_one = dec_p.get(0, 0)
+    mult_p_minus = dec_p.get(half, 0)
+    mult_d_one = dec_d.get(0, 0)
+    mult_d_minus = dec_d.get(half, 0)
     x_prime = (mult_p_one - 1) // 2
     x_dbl = (mult_d_one - 1) // 2
     y_prime_raw = mult_p_minus // 2
@@ -588,22 +576,15 @@ def descend(sc: DescentScenario) -> DescentOutcome:
     class_prime = sc.form_class_prime if y_prime else "split"
     class_dbl = sc.form_class_dblprime if y_dbl else "split"
 
-    def sided_u(dec: dict[Fraction, int]) -> dict[Fraction, int]:
-        return {
-            r: k
-            for r, k in dec.items()
-            if r not in (ZERO, HALF) and is_self_inverse(orbit_of(r, q))
-        }
+    def sided_u(dec: dict[int, int]) -> dict[int, int]:
+        return {r: k for r, k in dec.items() if r not in (0, half) and _self_inverse_exp(r, L, q)}
 
-    def sided_pairs(dec: dict[Fraction, int]) -> dict[Fraction, int]:
+    def sided_pairs(dec: dict[int, int]) -> dict[int, int]:
         out = {}
         for r, k in dec.items():
-            if r in (ZERO, HALF):
+            if r in (0, half) or _self_inverse_exp(r, L, q):
                 continue
-            orb = orbit_of(r, q)
-            if is_self_inverse(orb):
-                continue
-            key = pair_class_key(orb)
+            key = _pair_key_exp(r, L, q)
             if key not in out:
                 out[key] = k
             elif out[key] != k:
@@ -622,70 +603,62 @@ def descend(sc: DescentScenario) -> DescentOutcome:
 
     # Levi blocks, one per Frobenius orbit of each GL multiset
     for i, ms in enumerate(sc.eps_gl):
-        dec = orbit_decomposition(ms, q)
-        for rep in sorted(dec):
-            mult = dec[rep]
-            orb = orbit_of(rep, q)
-            if rep == ZERO:
+        for rep, mult in _MultisetProfile(ms, L, q).dec.items():
+            if rep == 0:
                 tag, home, sb = "+", ("sp", 1), 1
-            elif rep == HALF:
+            elif rep == half:
                 tag, home, sb = "-", ("sp", -1), -1
-            elif is_self_inverse(orb):
+            elif _self_inverse_exp(rep, L, q):
                 tag, home, sb = "U", ("u", rep), 1
             else:
-                tag, home, sb = "U", ("gl", pair_class_key(orb)), 1
+                tag, home, sb = "U", ("gl", _pair_key_exp(rep, L, q)), 1
             add_block(
-                size=mult, ext=len(orb), origin="levi", owner=i, tag=tag,
+                size=mult, ext=len(orbit_of(rep, L, q)), origin="levi", owner=i, tag=tag,
                 home=home, sbar0=sb, eta_exp=rep, eps_exp=rep,
             )
 
     # GL pulls from the endoscopic side: inverse-pair orbits
     for rep in sorted(pairs_p):
-        orb = orbit_of(rep, q)
         add_block(
-            size=pairs_p[rep], ext=len(orb), origin="pair_prime", owner=None, tag="U",
+            size=pairs_p[rep], ext=len(orbit_of(rep, L, q)), origin="pair_prime", owner=None, tag="U",
             home=("gl", rep), sbar0=1, eta_exp=rep, eps_exp=rep,
         )
     for rep in sorted(pairs_d):
-        orb = orbit_of(rep, q)
-        eta_orb = orbit_negate(orb)
+        eta_rep = _neg_rep_exp(rep, L, q)
         add_block(
-            size=pairs_d[rep], ext=len(orb), origin="pair_dbl", owner=None, tag="U",
-            home=("gl", pair_class_key(eta_orb)), sbar0=-1,
-            eta_exp=orbit_rep(eta_orb), eps_exp=rep,
+            size=pairs_d[rep], ext=len(orbit_of(rep, L, q)), origin="pair_dbl", owner=None, tag="U",
+            home=("gl", _pair_key_exp(eta_rep, L, q)), sbar0=-1,
+            eta_exp=eta_rep, eps_exp=rep,
         )
 
     # GL pulls from split rank-one even parts
     if pulled_prime:
         add_block(
             size=1, ext=1, origin="so2_prime", owner=None, tag="-",
-            home=("sp", -1), sbar0=-1, eta_exp=HALF, eps_exp=HALF,
+            home=("sp", -1), sbar0=-1, eta_exp=half, eps_exp=half,
         )
     if pulled_dbl:
         add_block(
             size=1, ext=1, origin="so2_dbl", owner=None, tag="+",
-            home=("sp", 1), sbar0=-1, eta_exp=ZERO, eps_exp=HALF,
+            home=("sp", 1), sbar0=-1, eta_exp=0, eps_exp=half,
         )
 
     # unitary core slots, keyed by the self-inverse orbit on the big side
-    slot_reps: set[Fraction] = set(u_p)
+    slot_reps: set[int] = set(u_p)
     for rep in u_d:
-        slot_reps.add(orbit_rep(orbit_negate(orbit_of(rep, q))))
+        slot_reps.add(_neg_rep_exp(rep, L, q))
     for b in blocks:
         if b.home[0] == "u":
             slot_reps.add(b.home[1])
-    u_slots = []
-    for rep in sorted(slot_reps):
-        orb = orbit_of(rep, q)
-        neg_rep = orbit_rep(orbit_negate(orb))
-        u_slots.append(
-            USlot(
-                eta_rep=rep,
-                d=len(orb) // 2,
-                k_prime=u_p.get(rep, 0),
-                k_dbl=u_d.get(neg_rep, 0),
-            )
+    u_slots = [
+        USlot(
+            eta_rep=rep,
+            d=len(orbit_of(rep, L, q)) // 2,
+            k_prime=u_p.get(rep, 0),
+            k_dbl=u_d.get(_neg_rep_exp(rep, L, q), 0),
         )
+        for rep in sorted(slot_reps)
+    ]
 
     outcome = DescentOutcome(
         scenario=sc,
@@ -707,11 +680,12 @@ def descend(sc: DescentScenario) -> DescentOutcome:
 def _sanity(outcome: DescentOutcome) -> None:
     """Dimension bookkeeping that must hold by construction."""
     sc = outcome.scenario
+    q, L = sc.q, sc.modulus
     # the matched element's +-1 eigenspaces, by multiplicity arithmetic:
     # +1 picks up the first side's ones (less the anchor) and the negated
     # minus-ones of the second side, and symmetrically
-    prof_p = _MultisetProfile(sc.eps_prime, sc.q)
-    prof_d = _MultisetProfile(sc.eps_dblprime, sc.q)
+    prof_p = _MultisetProfile(sc.eps_prime, L, q)
+    prof_d = _MultisetProfile(sc.eps_dblprime, L, q)
     mult_plus = prof_p.mult_one - 1 + prof_d.mult_minus
     mult_minus = prof_p.mult_minus + prof_d.mult_one - 1
     w_plus = outcome.x_prime + outcome.y_dbl + (1 if outcome.pulled_dbl else 0)
@@ -721,14 +695,9 @@ def _sanity(outcome: DescentOutcome) -> None:
     # each GL factor of the endoscopic centralizer must own exactly one block
     n_pairs = 0
     for prof in (prof_p, prof_d):
-        seen: set[Fraction] = set()
-        for r in prof.dec:
-            if r in (ZERO, HALF) or _self_inverse_exp(r, sc.q):
-                continue
-            key = _pair_key_exp(r, sc.q)
-            if key not in seen:
-                seen.add(key)
-                n_pairs += 1
+        n_pairs += len(
+            {_pair_key_exp(r, L, q) for r in prof.dec if r not in (0, L // 2) and not _self_inverse_exp(r, L, q)}
+        )
     pulled = (1 if outcome.pulled_prime else 0) + (1 if outcome.pulled_dbl else 0)
     if sum(1 for b in outcome.blocks if b.origin != "levi") != n_pairs + pulled:
         raise MatchingFailure("pulled GL blocks do not exhaust the extra factors")
@@ -755,45 +724,43 @@ def placement(outcome: DescentOutcome, block: Block, t: Sequence[int]) -> tuple:
     base-point-times-twist rule."""
     s = sigma(outcome, block, t)
     kind = block.home[0]
-    q = outcome.scenario.q
     if kind == "sp":
         if block.home[1] == 1:
             return ("p", "odd") if s == 1 else ("d", "even")
         return ("d", "odd") if s == 1 else ("p", "even")
-    if kind == "u":
-        rep = block.home[1]
-        if s == 1:
-            return ("p", "u", rep)
-        return ("d", "u", _neg_rep_exp(rep, q))
-    # gl home
     key = block.home[1]
     if s == 1:
-        return ("p", "gl", key)
-    return ("d", "gl", _pair_key_exp((key + HALF) % 1, q))
+        return ("p", kind, key)
+    sc = outcome.scenario
+    L = sc.modulus
+    if kind == "u":
+        return ("d", "u", _neg_rep_exp(key, L, sc.q))
+    # gl home
+    return ("d", "gl", _pair_key_exp((key + L // 2) % L, L, sc.q))
 
 
 def placement_independent(outcome: DescentOutcome, block: Block, t: Sequence[int]) -> tuple:
     """Destination recomputed from scratch: twist the element, embed it by
     the side decomposition, and classify its eigenvalue orbit."""
-    q = outcome.scenario.q
+    sc = outcome.scenario
+    q, L = sc.q, sc.modulus
+    half = L // 2
     if block.origin == "levi":
         side = "p" if t[block.owner] == 1 else "d"
-        exp = block.eps_exp if side == "p" else (block.eps_exp + HALF) % 1
+        exp = block.eps_exp if side == "p" else (block.eps_exp + half) % L
     elif block.origin == "pair_prime":
         side, exp = "p", block.eps_exp
     elif block.origin == "pair_dbl":
         side, exp = "d", block.eps_exp
-    elif block.origin == "so2_prime":
-        side, exp = "p", HALF
-    else:
-        side, exp = "d", HALF
-    if exp == ZERO:
+    else:  # a pulled split rank-one even part
+        side, exp = ("p" if block.origin == "so2_prime" else "d"), half
+    if exp == 0:
         return (side, "odd")
-    if exp == HALF:
+    if exp == half:
         return (side, "even")
-    if _self_inverse_exp(exp, q):
-        return (side, "u", orbit_rep(orbit_of(exp, q)))
-    return (side, "gl", _pair_key_exp(exp, q))
+    if _self_inverse_exp(exp, L, q):
+        return (side, "u", min(orbit_of(exp, L, q)))
+    return (side, "gl", _pair_key_exp(exp, L, q))
 
 
 def compatibility_check(outcome: DescentOutcome, t: Sequence[int]) -> bool:
@@ -819,54 +786,40 @@ def gs_descended_types(outcome: DescentOutcome, t: Sequence) -> tuple[GroupType,
     merges it with the other blocks of label k into one GL centralizer.
     """
     sc = outcome.scenario
-    prime = Counter(_exponent_pairs(sc.eps_prime))
-    dbl = Counter(_exponent_pairs(sc.eps_dblprime))
+    q, L = sc.q, sc.modulus
+    prime = Counter(_exponent_counts(sc.eps_prime, L))
+    dbl = Counter(_exponent_counts(sc.eps_dblprime, L))
     labeled: dict[int, Counter] = {}
     for i, ms in enumerate(sc.eps_gl):
         a = t[i]
         if a == 1:
-            prime.update(_gl_block_pairs(ms, False))
+            prime.update(_gl_block_residues(ms, False, L))
         elif a == -1:
-            dbl.update(_gl_block_pairs(ms, True))
+            dbl.update(_gl_block_residues(ms, True, L))
         else:
-            labeled.setdefault(a[1], Counter()).update(_exponent_counts(ms))
-    gls = tuple(f for k in sorted(labeled) for f, _ in _centralizer_factors_counts(labeled[k], sc.q, "gl"))
-    gp = _odd_orthogonal_factors(tuple(sorted(prime.items())), sc.q, sc.form_class_prime)
-    gd = _odd_orthogonal_factors(tuple(sorted(dbl.items())), sc.q, sc.form_class_dblprime)
+            labeled.setdefault(a[1], Counter()).update(_exponent_counts(ms, L))
+    gls = tuple(f for k in sorted(labeled) for f in _centralizer_factors_counts(labeled[k], L, q, "gl"))
+    gp = _odd_orthogonal_factors(tuple(sorted(prime.items())), L, q, sc.form_class_prime)
+    gd = _odd_orthogonal_factors(tuple(sorted(dbl.items())), L, q, sc.form_class_dblprime)
     full = GroupType(gls + gp + gd)
     return full, bar(full)
 
 
-ExpPair = tuple[int, int]  # a reduced exponent j/N in [0, 1) as (j, N)
-
-
-def _exponent_pairs(ms: EigenMultiset) -> list[ExpPair]:
-    out = []
-    for x in ms.entries:
-        if not isinstance(x, RootOfUnity):
-            raise InvariantViolation("descent multisets must consist of roots of unity")
-        out.append((x.exponent.numerator, x.exponent.denominator))
-    return out
-
-
 @lru_cache(maxsize=4096)
-def _gl_block_pairs(ms: EigenMultiset, negate: bool) -> tuple[ExpPair, ...]:
-    """Exponents a GL block adds to an orthogonal side: each eigenvalue and
-    its inverse, times -1 when ``negate``."""
+def _gl_block_residues(ms: EigenMultiset, negate: bool, L: int) -> tuple[int, ...]:
+    """Exponent residues a GL block adds to an orthogonal side: each
+    eigenvalue and its inverse, times -1 when ``negate``."""
+    shift = L // 2 if negate else 0
     out = []
-    for x in ms.entries:
-        for e in (x.exponent, (-x.exponent) % 1):
-            if negate:
-                e = (e + HALF) % 1
-            out.append((e.numerator, e.denominator))
+    for r, k in _exponent_counts(ms, L).items():
+        out += [(r + shift) % L, (shift - r) % L] * k
     return tuple(out)
 
 
 @lru_cache(maxsize=4096)
 def _odd_orthogonal_factors(
-    counts: tuple[tuple[ExpPair, int], ...], q: int, form_tag_minus: str
+    counts: tuple[tuple[int, int], ...], L: int, q: int, form_tag_minus: str
 ) -> tuple[FactorType, ...]:
     """Centralizer factors of an odd orthogonal class, by its sorted
-    exponent counts."""
-    by_exp = {Fraction(num, den): k for (num, den), k in counts}
-    return tuple(f for f, _ in _centralizer_factors_counts(by_exp, q, "odd_orthogonal", form_tag_minus))
+    exponent counts mod ``L``."""
+    return _centralizer_factors_counts(dict(counts), L, q, "odd_orthogonal", form_tag_minus)

@@ -68,7 +68,7 @@ def tau_L_kernel(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi) -> DiagS
 def _ns_pairs(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi, t: Sequence[int]):
     pairs = []
     for home in (("sp", 1), ("sp", -1)):
-        if home not in outcome.homes():
+        if home not in outcome.homes:
             continue
         _, _, x0, _, _ = amb.home_core_parts(home)
         sizes = tuple(

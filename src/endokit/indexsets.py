@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .ambient import Ambient, GEtaLevi, Group, _d_squared, _normalize_group
 from .catalog import grouping_patterns
-from .descent import HALF, Block, DescentOutcome, _neg_rep_exp, orbit_of, placement, placement_independent, sigma
+from .descent import Block, DescentOutcome, _neg_rep_exp, orbit_of, placement, placement_independent, sigma
 from .errors import InvariantViolation
 from .qspaces import DSquared
 
@@ -23,19 +22,17 @@ HomeKey = tuple
 
 
 def _eta_orientation(outcome: DescentOutcome, b: Block) -> int:
-    """Orientation of a block inside its inverse-pair ambient factor."""
-    key = b.home[1]
-    q = outcome.scenario.q
-    return 1 if orbit_of(b.eta_exp, q) == orbit_of(key, q) else -1
+    """Orientation of a block inside its inverse-pair ambient factor: +1 when
+    its exponent lies in the orbit of the home's key."""
+    sc = outcome.scenario
+    return 1 if b.eta_exp in orbit_of(b.home[1], sc.modulus, sc.q) else -1
 
 
-def _eps_orientation(outcome: DescentOutcome, b: Block, t: Sequence[int], home_key: Fraction) -> int:
-    if b.origin == "levi" and t[b.owner] == -1:
-        exp = (b.eps_exp + HALF) % 1
-    else:
-        exp = b.eps_exp
-    q = outcome.scenario.q
-    return 1 if orbit_of(exp, q) == orbit_of(home_key, q) else -1
+def _eps_orientation(outcome: DescentOutcome, b: Block, t: Sequence[int], home_key: int) -> int:
+    sc = outcome.scenario
+    L = sc.modulus
+    exp = (b.eps_exp + L // 2) % L if b.origin == "levi" and t[b.owner] == -1 else b.eps_exp
+    return 1 if exp in orbit_of(home_key, L, sc.q) else -1
 
 
 def _gl_home_pattern(outcome: DescentOutcome, blocks: Sequence[Block]) -> Group:
@@ -76,7 +73,7 @@ def _degenerate(home: tuple, y: int, klass: str) -> bool:
 def enumerate_levis(outcome: DescentOutcome) -> tuple[GEtaLevi, ...]:
     """All Levis of the big centralizer containing the matched Levi."""
     per_home = []
-    for home in outcome.homes():
+    for home in outcome.homes:
         orient = (lambda b: _eta_orientation(outcome, b)) if home[0] == "gl" else None
         per_home.append([groups for groups, _ in _home_groupings(outcome.home_blocks(home), orient)])
     return tuple(GEtaLevi(tuple(itertools.chain(*combo))) for combo in itertools.product(*per_home))
@@ -85,18 +82,13 @@ def enumerate_levis(outcome: DescentOutcome) -> tuple[GEtaLevi, ...]:
 def top_levi(outcome: DescentOutcome) -> GEtaLevi:
     """The big centralizer itself as a Levi: pair factors fully grouped."""
     groups = []
-    for home in outcome.homes():
+    for home in outcome.homes:
         if home[0] != "gl":
             continue
         blocks = outcome.home_blocks(home)
         if blocks:
             groups.append(_gl_home_pattern(outcome, blocks))
     return GEtaLevi(tuple(groups))
-
-
-def bottom_levi(outcome: DescentOutcome) -> GEtaLevi:
-    """The matched Levi itself: every block is its own group."""
-    return GEtaLevi(tuple(((b.bid, 1),) for b in outcome.blocks))
 
 
 def is_elliptic(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi, t: Sequence[int]) -> bool:
@@ -107,7 +99,7 @@ def is_elliptic(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi, t: Sequen
         if len(signs) != 1:
             return False
     return not any(
-        _degenerate(home, *amb.twisted_core(levi, home, t)[3:]) for home in outcome.homes() if home[0] == "sp"
+        _degenerate(home, *amb.twisted_core(levi, home, t)[3:]) for home in outcome.homes if home[0] == "sp"
     )
 
 
@@ -132,7 +124,7 @@ def gs_homes(outcome: DescentOutcome, t: Sequence[int]) -> dict[HomeKey, tuple[B
         if slot.k_prime:
             homes.setdefault(("p", "u", slot.eta_rep), [])
         if slot.k_dbl:
-            neg = _neg_rep_exp(slot.eta_rep, outcome.scenario.q)
+            neg = _neg_rep_exp(slot.eta_rep, outcome.scenario.modulus, outcome.scenario.q)
             homes.setdefault(("d", "u", neg), [])
     return {k: tuple(v) for k, v in homes.items()}
 
@@ -268,7 +260,7 @@ def _datum_class(amb: Ambient, home: tuple, absorbed: Sequence[Block], signs: Se
 def einst_canon(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi, t: Sequence[int]) -> tuple:
     """Canonical form of the twisted datum class on a Levi."""
     parts = []
-    for home in outcome.homes():
+    for home in outcome.homes:
         if home[0] != "gl":
             absorbed = amb.absorbed(levi, home)
             parts.append(_datum_class(amb, home, absorbed, [sigma(outcome, b, t) for b in absorbed]))
@@ -278,7 +270,7 @@ def einst_canon(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi, t: Sequen
 def enumerate_einst_data(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi) -> list[tuple]:
     """All elliptic datum classes on a Levi, enumerated from scratch."""
     per_home = []
-    for home in outcome.homes():
+    for home in outcome.homes:
         if home[0] == "gl":
             continue
         absorbed = amb.absorbed(levi, home)

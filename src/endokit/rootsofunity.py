@@ -1,8 +1,12 @@
 """Exact scalars for eigenvalue bookkeeping: rationals and roots of unity.
 
-A root of unity is stored by its exponent in Q/Z, so inversion is exponent
-negation, multiplication by -1 adds 1/2, and a Frobenius power q acts by
-multiplying the exponent by q.
+A root of unity is stored by its exponent j/N in Q/Z as the reduced int pair
+(j, N) with 0 <= j < N, so it hashes and compares without Fraction
+arithmetic.  Inversion is exponent negation, multiplication by -1 adds 1/2,
+and a Frobenius power q acts by multiplying the exponent by q; the descent
+path does that orbit work on int residues modulo a common order
+(``endokit.descent``).  Fractions appear only in the constructor, which
+reduces an exponent to its pair, and in ``sc_key``.
 """
 
 from __future__ import annotations
@@ -12,23 +16,21 @@ from fractions import Fraction
 from typing import Union
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class RootOfUnity:
-    exponent: Fraction
+    pair: tuple[int, int]  # the exponent j/N as (j mod N, N), reduced
 
-    def __post_init__(self) -> None:
-        e = Fraction(self.exponent) % 1
-        object.__setattr__(self, "exponent", e)
+    def __init__(self, exponent) -> None:
+        e = Fraction(exponent) % 1
+        object.__setattr__(self, "pair", (e.numerator, e.denominator))
 
-    # Fraction hashing runs a modular inverse; exponents are consumed by
-    # dict-heavy orbit bookkeeping, so hash the reduced pair directly.
     def __hash__(self) -> int:
-        return hash((self.exponent.numerator, self.exponent.denominator))
+        return hash(self.pair)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RootOfUnity):
             return NotImplemented
-        return self.exponent == other.exponent
+        return self.pair == other.pair
 
     @staticmethod
     def of(num: int, den: int) -> "RootOfUnity":
@@ -36,32 +38,34 @@ class RootOfUnity:
 
     @staticmethod
     def one() -> "RootOfUnity":
-        return RootOfUnity(Fraction(0))
+        return RootOfUnity(0)
 
     @staticmethod
     def minus_one() -> "RootOfUnity":
-        return RootOfUnity(Fraction(1, 2))
+        return RootOfUnity.of(1, 2)
 
     @property
     def order(self) -> int:
-        return self.exponent.denominator
+        return self.pair[1]
 
     def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(-self.exponent)
+        j, n = self.pair
+        return RootOfUnity.of(-j, n)
 
     def negate(self) -> "RootOfUnity":
-        return RootOfUnity(self.exponent + Fraction(1, 2))
+        j, n = self.pair
+        return RootOfUnity.of(2 * j + n, 2 * n)
 
     @property
     def is_one(self) -> bool:
-        return self.exponent == 0
+        return self.pair == (0, 1)
 
     @property
     def is_minus_one(self) -> bool:
-        return self.exponent == Fraction(1, 2)
+        return self.pair == (1, 2)
 
     def __str__(self) -> str:
-        return f"{self.exponent.numerator}/{self.exponent.denominator}"
+        return f"{self.pair[0]}/{self.pair[1]}"
 
 
 Scalar = Union[Fraction, RootOfUnity]
@@ -94,17 +98,11 @@ def sc_is_one(x: Scalar) -> bool:
     return x == 1
 
 
-def sc_is_minus_one(x: Scalar) -> bool:
-    if isinstance(x, RootOfUnity):
-        return x.is_minus_one
-    return x == -1
-
-
 def sc_key(x: Scalar) -> tuple:
     if type(x) is Fraction:
         return (0, x)
     if isinstance(x, RootOfUnity):
-        return (1, x.exponent)
+        return (1, Fraction(*x.pair))
     return (0, x)
 
 
@@ -121,8 +119,7 @@ def sc_exact_key(x: Scalar) -> ExactKey:
     the modular inverse that hashing a Fraction runs."""
     if type(x) is Fraction:
         return (0, x.numerator, x.denominator)
-    e = x.exponent
-    return (1, e.numerator, e.denominator)
+    return (1, *x.pair)
 
 
 def sc_inv_exact_key(key: ExactKey) -> ExactKey:

@@ -4,9 +4,10 @@ Everything here recomputes results by a route independent of the library
 code it checks: element enumeration for finite diagonalizable groups, coset
 counting for lattice indices, Gram determinants by cofactor expansion,
 rational subspaces and volume ratios by Fraction row reduction, the
-torus coordinates of a descent outcome (one coordinate per eigenvalue), and
-the centralizer of a general twist (symbolic labels alongside signs) from
-the sign algebra alone.
+torus coordinates of a descent outcome (one coordinate per eigenvalue), the
+centralizer of a general twist (symbolic labels alongside signs) from the
+sign algebra alone, and the Frobenius orbits of exponents as Fractions in
+Q/Z.  The matched Levi and the test for -1 are read only by tests.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from endokit.ambient import GEtaLevi
 from endokit.catalog import GroupType, gl, so_even, so_odd, sp, u
 from endokit.descent import gs_descended_types
 from endokit.indexsets import _eta_orientation
 from endokit.lattices import DiagSubgroup, IntLattice
+from endokit.rootsofunity import RootOfUnity
 
 
 def lattice_points_in_box(lat: IntLattice, bound: int) -> set[tuple[int, ...]]:
@@ -273,6 +276,11 @@ def d_coefficient(
     return gram_of(u + v) / (gram_of(u) * gram_of(v))
 
 
+def bottom_levi(outcome) -> GEtaLevi:
+    """The matched Levi itself: every block is its own group."""
+    return GEtaLevi(tuple(((b.bid, 1),) for b in outcome.blocks))
+
+
 def torus_layout(outcome):
     """Torus coordinates of a descent outcome, in the shape of
     ``ambient.atom_layout``: (ambient width, block ranges, unitary
@@ -350,7 +358,7 @@ def arthur_general_types(outcome, amb, assignment: Assignment) -> tuple[GroupTyp
     factors: list = []  # shared by both sides
     bar_factors: list = []
     odd_factors: list = []
-    for home in outcome.homes():
+    for home in outcome.homes:
         blocks = outcome.home_blocks(home)
         classes: dict[tuple, int] = {}
         if home[0] == "gl":  # orientation matters for labeled values
@@ -406,3 +414,38 @@ def general_assignments(i_count: int, max_labels: int = 2):
                 seen.append(k)
         if ok:
             yield combo
+
+
+# ---------------------------------------------------------------------------
+# Frobenius orbits of exponents in Q/Z, by Fraction arithmetic: the slow path
+# of the int residue kernel in ``endokit.descent``
+
+HALF = Fraction(1, 2)
+
+
+def orbit_of(exp: Fraction, q: int) -> frozenset[Fraction]:
+    out = set()
+    e = exp % 1
+    while e not in out:
+        out.add(e)
+        e = (e * q) % 1
+    return frozenset(out)
+
+
+def orbit_inverse(orbit) -> frozenset[Fraction]:
+    return frozenset((-e) % 1 for e in orbit)
+
+
+def orbit_negate(orbit) -> frozenset[Fraction]:
+    return frozenset((e + HALF) % 1 for e in orbit)
+
+
+def pair_class_key(orbit: frozenset[Fraction]) -> Fraction:
+    """Canonical key of the unordered pair {orbit, inverse orbit}."""
+    return min(min(orbit), min(orbit_inverse(orbit)))
+
+
+def sc_is_minus_one(x) -> bool:
+    if isinstance(x, RootOfUnity):
+        return x.is_minus_one
+    return x == -1

@@ -83,6 +83,26 @@ def test_shape_keys_are_exact_strings(fault, shapes):
     assert all(repr(ast.literal_eval(key)) == key for key in keys)
 
 
+# The shape partition of the rank-3 corpus: the number of distinct
+# ``outcome_shape`` keys, and the sha256 of every scenario's key in corpus
+# order, joined by newlines.  A change of exponent representation must leave
+# both alone, or shapes stop merging (or merge wrongly).
+SHAPE_PARTITION = {
+    None: (1730, "b241eae382b23dc89354655b8162263acfdefd19be5d6333c6da93f750917f39"),
+    "corrupt-sbar0": (1783, "2a69cd8f8de3bd1da9b4687d3a4d0dada43a10ae94611d1374f52b6334910550"),
+}
+
+
+@pytest.mark.parametrize("fault", [None, "corrupt-sbar0"])
+def test_shape_partition_is_pinned(fault):
+    keys = []
+    for sc in scenario_corpus(CampaignSpec(max_rank=3)):
+        outcome = descend(sc)
+        keys.append(outcome_shape(campaign._corrupt_sbar0(outcome) if fault else outcome))
+    assert len(keys) == 3154
+    assert (len(set(keys)), hashlib.sha256("\n".join(keys).encode()).hexdigest()) == SHAPE_PARTITION[fault]
+
+
 def test_interning_keeps_values_that_print_differently():
     cache = ShapeCache()
 

@@ -1,18 +1,29 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction as F
+from math import gcd, lcm
 
+import oracles
 import pytest
 
 from endokit.ambient import Ambient, atom_layout
 from endokit.catalog import GroupType, gl, so_even, so_odd, sp, u
 from endokit.descent import (
     DescentScenario,
+    _neg_rep_exp,
+    _pair_key_exp,
+    _self_inverse_exp,
     centralizer_type,
     compatibility_check,
     descend,
     eta_from_epsilon,
     gs_descended_types,
     hypothesis_flags,
+    is_self_inverse,
+    orbit_inverse,
+    orbit_negate,
+    orbit_of,
+    pair_class_key,
     sbar0_assign,
     sigma,
     validate_scenario,
@@ -20,10 +31,10 @@ from endokit.descent import (
 from endokit.enatural import enumerate_E_natural, pushed_group_check, verify_identities, verify_index_sets
 from endokit.endoscopy import EigenMultiset, EllipticDatumMeta
 from endokit.errors import ScenarioValidationError
-from endokit.indexsets import bottom_levi, build_E_st, enumerate_levis, pushforward_levi, section_levi, top_levi
+from endokit.indexsets import build_E_st, enumerate_levis, pushforward_levi, section_levi, top_levi
 from endokit.lattices import diag_identity_component, diag_index
 from endokit.rootsofunity import RootOfUnity
-from oracles import general_assignments, general_twist_check, torus_layout
+from oracles import bottom_levi, general_assignments, general_twist_check, torus_layout
 
 R = RootOfUnity
 ONE = R.one()
@@ -67,7 +78,12 @@ MIXED = scenario(
     ms(ONE),
     ms(ONE),
 )
-CORPUS = [MINIMAL, ONE_BLOCK, UNITARY, PAIRS, MIXED]
+# order-16 eigenvalues at q = 11: the modulus 16 does not divide 120, the
+# modulus of the default corpus; {1, 3, 9, 11}/16 and its inverse pair up
+ORDER_16 = scenario(
+    5, (1,), (4, 0), 11, (ms(MINUS),), ms(ONE, *(z(k, 16) for k in range(1, 16, 2))), ms(ONE)
+)
+CORPUS = [MINIMAL, ONE_BLOCK, UNITARY, PAIRS, MIXED, ORDER_16]
 
 
 class TestValidation:
@@ -76,8 +92,10 @@ class TestValidation:
 
     def test_rejects_unstable_orbit(self):
         bad = scenario(1, (1,), (0, 0), 3, (ms(z(1, 5)),), ms(ONE), ms(ONE))
-        with pytest.raises(ScenarioValidationError, match="Frobenius"):
+        with pytest.raises(ScenarioValidationError) as exc:
             validate_scenario(bad)
+        # the exponent prints as a fraction, not as its residue mod 10
+        assert str(exc.value) == "block 0: multiset is not Frobenius stable at exponent 1/5 (q=3)"
 
     def test_rejects_orthogonal_without_one(self):
         bad = scenario(1, (), (1, 0), 3, (), ms(MINUS, MINUS, ONE), ms(MINUS))
@@ -111,6 +129,59 @@ class TestValidation:
         ram = scenario(2, (), (0, 2), 3, (), ms(ONE), ms(MINUS, MINUS, ONE, MINUS, MINUS), "split", "ramified")
         for sc in [*CORPUS, ram, *corpus]:
             assert DescentScenario.from_digest(sc.digest()) == sc, sc.digest()
+
+
+def as_fractions(residues, L):
+    return frozenset(F(r, L) for r in residues)
+
+
+class TestResidueKernel:
+    """The int residue kernel against the Fraction slow path of ``oracles``:
+    every exponent j/N with N <= 16 coprime to q, under three moduli L per
+    N, mapped back through r -> r/L."""
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+    def test_orbits_match_fraction_oracle(self, q):
+        checked = 0
+        for n in range(1, 17):
+            if gcd(n, q) != 1:
+                continue
+            for L in (lcm(2, n), 3 * lcm(2, n), lcm(2, *range(1, 17))):
+                for j in range(n):
+                    if gcd(j, n) != 1:
+                        continue
+                    r = j * (L // n)
+                    orb = orbit_of(r, L, q)
+                    want = oracles.orbit_of(F(j, n), q)
+                    inverse = oracles.orbit_inverse(want)
+                    assert as_fractions(orb, L) == want
+                    assert as_fractions(orbit_inverse(orb, L), L) == inverse
+                    assert as_fractions(orbit_negate(orb, L), L) == oracles.orbit_negate(want)
+                    assert F(pair_class_key(orb, L), L) == oracles.pair_class_key(want)
+                    assert is_self_inverse(orb, L) == (want == inverse)
+                    assert F(_pair_key_exp(r, L, q), L) == oracles.pair_class_key(want)
+                    assert F(_neg_rep_exp(r, L, q), L) == min(oracles.orbit_negate(want))
+                    assert _self_inverse_exp(r, L, q) == (want == inverse)
+                    checked += 1
+        assert checked >= 3 * 16
+
+    def test_modulus_outside_the_default_corpus(self):
+        sc = ORDER_16
+        assert sc.modulus == 16
+        assert DescentScenario.from_json(sc.to_json()) == sc  # the digest: test_roundtrip_digest
+        o = descend(sc)
+        levi, pulled = o.blocks
+        assert (levi.home, levi.eta_exp, levi.ext) == (("sp", -1), 8, 1)
+        assert (pulled.origin, pulled.home, pulled.eta_exp, pulled.ext) == ("pair_prime", ("gl", 1), 1, 4)
+        assert o.homes == (("gl", 1), ("sp", -1))
+        assert o.g_eta() == GroupType.of(sp(0), sp(1), gl(1, 4))
+
+    def test_derived_data_follows_replace(self):
+        o = descend(MIXED)
+        assert o.homes is o.homes
+        head = replace(o, blocks=o.blocks[:1])
+        assert head.home_blocks(o.blocks[0].home) == o.blocks[:1]
+        assert len(head.homes) < len(o.homes)
 
 
 class TestCentralizerTypes:
@@ -458,7 +529,7 @@ class TestMemoTables:
             lattices.diag_identity_component,
             lattices.diag_index,
             ambient._d_squared,
-            descent._gl_block_pairs,
+            descent._gl_block_residues,
             descent._odd_orthogonal_factors,
         ):
             table.cache_clear()

@@ -39,10 +39,10 @@ from endokit.rootsofunity import (
     sc_exact_key,
     sc_inv,
     sc_inv_exact_key,
-    sc_is_minus_one,
     sc_is_one,
     sc_key,
 )
+from oracles import sc_is_minus_one
 
 
 def odd(*xs):
