@@ -6,7 +6,7 @@ exactly, performs type-level descent at finite-order elements, and verifies
 the resulting coefficient identities by brute force.
 """
 
-from .ambient import Ambient, GEtaLevi
+from .ambient import Ambient, GEtaLevi, enumerate_levis
 from .catalog import (
     CoordinateLayout,
     EmbeddedLevi,
@@ -87,7 +87,7 @@ from .errors import (
     UnsupportedFactor,
     UnsupportedPairing,
 )
-from .indexsets import EStElement, build_E_inst, build_E_st, enumerate_levis, pushforward_levi, section_levi
+from .indexsets import EStElement, build_E_inst, build_E_st, pushforward_levi, section_levi
 from .lattices import (
     DiagSubgroup,
     FiniteAbelianGroup,

@@ -1,22 +1,24 @@
 """Atom coordinates, centers and split-center spaces over a descent outcome.
 
 The big centralizer's Levis containing the matched one are signed groupings
-of the shared GL blocks (``GEtaLevi``).  ``Ambient`` numbers the atoms of an
-outcome once and builds on them every dual center the coefficient
+of the shared GL blocks (``GEtaLevi``); ``enumerate_levis`` lists them all
+and ``top_levi`` is the centralizer itself.  ``Ambient`` numbers the atoms
+of an outcome once and builds on them every dual center the coefficient
 comparison reads, the core datum of each ambient factor, and the weighted
-block coordinates of the volume calculus.
+block coordinates of the volume calculus.  It holds the outcome's transverse
+Levis and its top Levi, each derived once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Hashable, Iterable, Sequence
 
 from ._intlinalg import det_int
-from .catalog import GroupType, assemble_diag, center_rows, gl, signed_torus_rows, so_even, so_odd, sp, u
-from .descent import Block, DescentOutcome, sigma
+from .catalog import GroupType, assemble_diag, center_rows, gl, grouping_patterns, signed_torus_rows, so_even, so_odd, sp, u
+from .descent import Block, DescentOutcome, orbit_of, sigma
 from .errors import InvariantViolation
 from .lattices import MEMO_SIZE, DiagSubgroup
 from .qspaces import DSquared, QForm, QSubspace, d_coefficient
@@ -46,8 +48,10 @@ def _normalize_group(pairs: Iterable[tuple[int, int]]) -> Group:
 class GEtaLevi:
     """A Levi of the big centralizer containing the matched one.
 
-    Each group is a tuple of (block id, exponent) with the leading exponent
-    normalized to +1; ungrouped blocks are absorbed into their factor's core.
+    Each group is a tuple of (block id, exponent); the constructor sorts
+    every group by block id with its leading exponent normalized to +1, and
+    sorts the groups.  Ungrouped blocks are absorbed into their factor's
+    core.
     """
 
     groups: tuple[Group, ...]
@@ -59,6 +63,55 @@ class GEtaLevi:
 
     def grouped_bids(self) -> frozenset[int]:
         return frozenset(b for g in self.groups for b, _ in g)
+
+
+def _eta_orientation(outcome: DescentOutcome, b: Block) -> int:
+    """Orientation of a block inside its inverse-pair ambient factor: +1 when
+    its exponent lies in the orbit of the home's key."""
+    sc = outcome.scenario
+    return 1 if b.eta_exp in orbit_of(b.home[1], sc.modulus, sc.q) else -1
+
+
+def _home_groupings(
+    blocks: Sequence[Block], orient: Callable[[Block], int] | None
+) -> list[tuple[tuple[Group, ...], tuple[Block, ...]]]:
+    """Every grouping of one home's blocks into Levi groups, with the blocks
+    it absorbs.  A pair factor (``orient`` given) groups every block, each
+    with its orientation; a core factor (``orient`` None) groups with signs
+    and absorbs the rest into its core.  Groups are raw: the index-set
+    objects built on them normalize them."""
+    if orient is None:
+        return [
+            (
+                tuple([tuple([(blocks[i].bid, e) for i, e in grp]) for grp in groups]),
+                tuple([blocks[i] for i in absorbed]),
+            )
+            for groups, absorbed in grouping_patterns(len(blocks), signed=True, with_core=True)
+        ]
+    return [
+        (tuple([tuple([(blocks[i].bid, orient(blocks[i])) for i, _ in grp]) for grp in groups]), ())
+        for groups, _ in grouping_patterns(len(blocks), signed=False, with_core=False)
+    ]
+
+
+def enumerate_levis(outcome: DescentOutcome) -> tuple[GEtaLevi, ...]:
+    """All Levis of the big centralizer containing the matched Levi."""
+    per_home = []
+    for home in outcome.homes:
+        orient = (lambda b: _eta_orientation(outcome, b)) if home[0] == "gl" else None
+        per_home.append([groups for groups, _ in _home_groupings(outcome.home_blocks(home), orient)])
+    return tuple(GEtaLevi(tuple(itertools.chain(*combo))) for combo in itertools.product(*per_home))
+
+
+def top_levi(outcome: DescentOutcome) -> GEtaLevi:
+    """The big centralizer itself as a Levi: pair factors fully grouped."""
+    return GEtaLevi(
+        tuple(
+            tuple((b.bid, _eta_orientation(outcome, b)) for b in outcome.home_blocks(home))
+            for home in outcome.homes
+            if home[0] == "gl"
+        )
+    )
 
 
 Atoms = tuple[int, ...]
@@ -168,6 +221,19 @@ class Ambient:
         if len(m_rows) + len(g_rows) != len(self.outcome.blocks):
             return False
         return det_int(list(m_rows) + g_rows) != 0
+
+    # -- the big centralizer's Levis ------------------------------------------
+
+    @cached_property
+    def transverse_levis(self) -> tuple[GEtaLevi, ...]:
+        """The Levis of ``enumerate_levis`` whose split-center space is
+        transverse to the matched Levi's, in that order."""
+        return tuple(levi for levi in enumerate_levis(self.outcome) if self.transverse(levi.groups))
+
+    @cached_property
+    def top_levi(self) -> GEtaLevi:
+        """The big centralizer itself as a Levi, as ``top_levi`` builds it."""
+        return top_levi(self.outcome)
 
     # -- home bookkeeping -------------------------------------------------------
 

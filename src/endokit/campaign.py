@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import TextIO
 
 from . import catalog
-from .ambient import Ambient
+from .ambient import Ambient, _eta_orientation
 from .catalog import GroupType, LeviDatum, gl, levi_data, levi_enumerate, layout_for, so_even, so_odd, sp, u
 from .descent import (
     DescentOutcome,
@@ -48,7 +48,7 @@ from .endoscopy import (
     i_meta,
 )
 from .errors import EndokitError
-from .indexsets import _eps_orientation, _eta_orientation
+from .indexsets import _eps_orientation
 from .lattices import (
     DiagSubgroup,
     arthur_product_check,
@@ -831,8 +831,9 @@ def _check_outcome(outcome: DescentOutcome) -> tuple[Verdict, ...]:
                 witness[law] = {"error": str(exc)}
             return None
 
-    twists = list(itertools.product((1, -1), repeat=outcome.i_count))
-    wrong = guarded(("sign-rule-vs-descent",), lambda: [t for t in twists if not compatibility_check(outcome, t)])
+    wrong = guarded(
+        ("sign-rule-vs-descent",), lambda: [t for t in outcome.twists if not compatibility_check(outcome, t)]
+    )
     if wrong:
         ok["sign-rule-vs-descent"] = False
         witness["sign-rule-vs-descent"] = {"t": wrong[-1]}
@@ -840,7 +841,7 @@ def _check_outcome(outcome: DescentOutcome) -> tuple[Verdict, ...]:
     amb = guarded(("pushed-group", *ENTRY_LAWS), lambda: Ambient(outcome))
     entries = None
     if amb is not None:
-        pushed = guarded(("pushed-group",), lambda: [pushed_group_check(outcome, amb, t) for t in twists])
+        pushed = guarded(("pushed-group",), lambda: [pushed_group_check(outcome, amb, t) for t in outcome.twists])
         if pushed is not None:
             ok["pushed-group"] = all(pushed)
         entries = guarded(ENTRY_LAWS, lambda: enumerate_E_natural(outcome, amb))

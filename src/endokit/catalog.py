@@ -261,6 +261,22 @@ def assemble_diag(ambient: int, sparse_rows: Iterable[Sequence[tuple[int, int]]]
     return DiagSubgroup(ambient, IntLattice(ambient, tuple(dense)))
 
 
+def _dual_centers(
+    ambient: int, parts: Iterable[tuple[FactorType, Sequence[int]]]
+) -> tuple[DiagSubgroup, DiagSubgroup]:
+    """Fixed and connected-fixed center of the dual group of factors placed
+    on coordinate parts, each by its ``center_tags``.  A part may be
+    scattered (a parent factor spanning several sub-blocks); coordinates
+    outside every part carry no condition for either subgroup."""
+    fixed_rows: list[Sequence[tuple[int, int]]] = []
+    fixed0_rows: list[Sequence[tuple[int, int]]] = []
+    for f, coords in parts:
+        t_fixed, t_fixed0 = f.center_tags
+        fixed_rows.extend(center_rows(t_fixed, coords))
+        fixed0_rows.extend(center_rows(t_fixed0, coords))
+    return assemble_diag(ambient, fixed_rows), assemble_diag(ambient, fixed0_rows)
+
+
 def dual_center(g: GroupType, layout: CoordinateLayout) -> tuple[DiagSubgroup, DiagSubgroup]:
     """Fixed and connected-fixed center of the dual group, blockwise.
 
@@ -269,41 +285,11 @@ def dual_center(g: GroupType, layout: CoordinateLayout) -> tuple[DiagSubgroup, D
     """
     if len(layout.blocks) != len(g.factors):
         raise LayoutMismatch("layout must have one block per factor")
-    fixed_rows: list[Sequence[tuple[int, int]]] = []
-    fixed0_rows: list[Sequence[tuple[int, int]]] = []
-    for idx, f in enumerate(g.factors):
-        coords = layout.coords(idx)
+    parts = [(f, layout.coords(idx)) for idx, f in enumerate(g.factors)]
+    for idx, (f, coords) in enumerate(parts):
         if len(coords) != f.width:
             raise LayoutMismatch(f"block {idx} has width {len(coords)}, factor needs {f.width}")
-        t_fixed, t_fixed0 = f.center_tags
-        fixed_rows.extend(center_rows(t_fixed, coords))
-        fixed0_rows.extend(center_rows(t_fixed0, coords))
-    return (
-        assemble_diag(layout.ambient_rank, fixed_rows),
-        assemble_diag(layout.ambient_rank, fixed0_rows),
-    )
-
-
-def dual_center_grouped(
-    ambient: int, parts: Sequence[tuple[str, Sequence[int]]]
-) -> tuple[DiagSubgroup, DiagSubgroup]:
-    """Centers of a group given as labeled coordinate parts.
-
-    Each part is (kind, coords) with kind a factor kind; the part's block
-    list may be scattered (a parent factor spanning several sub-blocks).
-    """
-    fixed_rows: list[Sequence[tuple[int, int]]] = []
-    fixed0_rows: list[Sequence[tuple[int, int]]] = []
-    for kind, coords in parts:
-        if kind == "gl":
-            tags = ("torus", "torus") if coords else ("none", "none")
-        elif kind == "sp":
-            tags = ("none", "none")
-        else:
-            tags = ("mu2", "none") if coords else ("none", "none")
-        fixed_rows.extend(center_rows(tags[0], tuple(coords)))
-        fixed0_rows.extend(center_rows(tags[1], tuple(coords)))
-    return assemble_diag(ambient, fixed_rows), assemble_diag(ambient, fixed0_rows)
+    return _dual_centers(layout.ambient_rank, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +388,7 @@ class EmbeddedLevi:
     parts: tuple[tuple[FactorType, tuple[int, ...]], ...]
 
     def center(self, ambient: int) -> tuple[DiagSubgroup, DiagSubgroup]:
-        return dual_center_grouped(ambient, [(f.kind, coords) for f, coords in self.parts])
+        return _dual_centers(ambient, self.parts)
 
 
 def _factor_levis(f: FactorType, coords: tuple[int, ...]) -> list[list[tuple[FactorType, tuple[int, ...]]]]:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import os
 import sys
@@ -150,15 +149,24 @@ def eset(block_count: int | None, sizes: str | None, m: int, s0: str | None, fmt
     """List the data lying over a base elliptic datum."""
     if sizes is None and block_count is None:
         raise click.UsageError("give --sizes or --i")
-    size_tuple = _parse_sizes(sizes) if sizes else tuple([1] * block_count)
-    datum = LeviDatum(size_tuple, m)
-    if s0:
-        mp, md = (int(x) for x in s0.split(","))
-        base = EllipticDatumMeta(mp, md)
-    else:
-        base = EllipticDatumMeta(m, 0)
+    if block_count is not None and block_count < 0:
+        raise click.UsageError("block count must be nonnegative")
+    try:
+        datum = LeviDatum(_parse_sizes(sizes) if sizes is not None else tuple([1] * block_count), m)
+        if s0:
+            mp, md = (int(x) for x in s0.split(","))
+            base = EllipticDatumMeta(mp, md)
+        else:
+            base = EllipticDatumMeta(m, 0)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    try:
+        data = e_set(datum, base)
+    except EndokitError as exc:
+        click.echo(f"domain error: {exc}", err=True)
+        sys.exit(EXIT_DOMAIN_ERROR)
     rows = []
-    for s in e_set(datum, base):
+    for s in data:
         gos = g_of_s(s)
         rows.append(
             {
@@ -295,11 +303,10 @@ def descend_cmd(scenario_path: str | None, digest: str | None, fmt: str, out: st
         else:
             sc = DescentScenario.from_digest(digest)
         outcome = descend(sc)
-        twists = list(itertools.product((1, -1), repeat=outcome.i_count))
         amb = Ambient(outcome)
         twist_laws = {
-            "sign-rule-vs-descent": all(compatibility_check(outcome, t) for t in twists),
-            "pushed-group": all(pushed_group_check(outcome, amb, t) for t in twists),
+            "sign-rule-vs-descent": all(compatibility_check(outcome, t) for t in outcome.twists),
+            "pushed-group": all(pushed_group_check(outcome, amb, t) for t in outcome.twists),
         }
         entries = enumerate_E_natural(outcome, amb)
         checks = [verify_identities(outcome, amb, entry) for entry in entries]

@@ -21,11 +21,12 @@ Fractions appear only where an exponent is printed or parsed.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -45,19 +46,13 @@ def exponent_modulus(multisets: Iterable[EigenMultiset]) -> int:
     return lcm(2, *(x.order for ms in multisets for x in ms.entries if isinstance(x, RootOfUnity)))
 
 
-_orbit_cache: dict[tuple[int, int, int], frozenset[int]] = {}
-
-
+@cache
 def orbit_of(r: int, L: int, q: int) -> frozenset[int]:
-    key = (r, L, q)
-    got = _orbit_cache.get(key)
-    if got is None:
-        out = set()
-        while r not in out:
-            out.add(r)
-            r = r * q % L
-        got = _orbit_cache[key] = frozenset(out)
-    return got
+    out = set()
+    while r not in out:
+        out.add(r)
+        r = r * q % L
+    return frozenset(out)
 
 
 def orbit_inverse(orbit: Iterable[int], L: int) -> frozenset[int]:
@@ -77,27 +72,19 @@ def pair_class_key(orbit: frozenset[int], L: int) -> int:
     return min(min(orbit), min(orbit_inverse(orbit, L)))
 
 
-_exp_cache: dict[tuple[str, int, int, int], object] = {}
-
-
-def _exp_cached(tag: str, r: int, L: int, q: int, compute):
-    key = (tag, r, L, q)
-    got = _exp_cache.get(key)
-    if got is None:
-        got = _exp_cache[key] = compute()
-    return got
-
-
+@cache
 def _pair_key_exp(r: int, L: int, q: int) -> int:
-    return _exp_cached("pair", r, L, q, lambda: pair_class_key(orbit_of(r, L, q), L))
+    return pair_class_key(orbit_of(r, L, q), L)
 
 
+@cache
 def _neg_rep_exp(r: int, L: int, q: int) -> int:
-    return _exp_cached("neg", r, L, q, lambda: min(orbit_negate(orbit_of(r, L, q), L)))
+    return min(orbit_negate(orbit_of(r, L, q), L))
 
 
+@cache
 def _self_inverse_exp(r: int, L: int, q: int) -> bool:
-    return _exp_cached("selfinv", r, L, q, lambda: is_self_inverse(orbit_of(r, L, q), L))
+    return is_self_inverse(orbit_of(r, L, q), L)
 
 
 def _exponent_counts(ms: EigenMultiset, L: int) -> dict[int, int]:
@@ -474,7 +461,7 @@ class DescentOutcome:
     pulled_prime: bool  # split rank-one even part converted to a GL block
     pulled_dbl: bool
 
-    # -- homes (an outcome is frozen, so each is derived once) ---------------
+    # -- homes and twists (an outcome is frozen, so each is derived once) ---
 
     @cached_property
     def _blocks_by_home(self) -> dict[tuple, tuple[Block, ...]]:
@@ -492,6 +479,11 @@ class DescentOutcome:
         keys += [("u", s.eta_rep) for s in self.u_slots]
         keys += [home for home in self._blocks_by_home if home[0] == "gl"]
         return tuple(sorted(keys))
+
+    @cached_property
+    def twists(self) -> tuple[tuple[int, ...], ...]:
+        """Every twist: one sign per GL block of the Levi."""
+        return tuple(itertools.product((1, -1), repeat=self.i_count))
 
     def _sp_core_rank(self, key: tuple) -> int:
         if key == ("sp", 1):

@@ -9,7 +9,6 @@ maps against the independently materialized index sets of
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -24,11 +23,9 @@ from .indexsets import (
     build_E_st,
     d_gs_side,
     einst_canon,
-    enumerate_levis,
     is_elliptic,
     pushforward_levi,
     section_levi,
-    top_levi,
 )
 from .lattices import DiagSubgroup, arthur_product_check, diag_index, diag_intersect
 from .nonstandard import c_nonstandard_quotient
@@ -123,11 +120,8 @@ def enumerate_E_natural(outcome: DescentOutcome, amb: Ambient | None = None) -> 
     """All (twist, Levi) pairs surviving the four defining conditions."""
     amb = amb or Ambient(outcome)
     out = []
-    transverse = [
-        levi for levi in enumerate_levis(outcome) if amb.transverse(levi.groups)
-    ]
-    for t in itertools.product((1, -1), repeat=outcome.i_count):
-        for levi in transverse:  # transversality on the big side holds
+    for t in outcome.twists:
+        for levi in amb.transverse_levis:  # transversality on the big side holds
             if not is_elliptic(outcome, amb, levi, t):  # twisted datum elliptic
                 continue
             entry = make_entry(outcome, amb, t, levi)
@@ -227,6 +221,6 @@ def verify_index_sets(
 def pushed_group_check(outcome: DescentOutcome, amb: Ambient, t: Sequence[int]) -> bool:
     """The Levi-ascent construction at the top Levi and the raw descent of
     the twisted element give the same group, with and without the bar swap."""
-    arthur_bar, arthur_odd = amb.pushed_types(top_levi(outcome), t)
+    arthur_bar, arthur_odd = amb.pushed_types(amb.top_levi, t)
     descended, descended_bar = gs_descended_types(outcome, tuple(t))
     return arthur_bar == descended_bar and arthur_odd == descended

@@ -2,30 +2,24 @@
 
 The instable side indexes (Levi, datum class) pairs of the big centralizer,
 the stable side (twist, Levi) pairs of the descended endoscopic group.  Each
-is materialized from scratch, so the comparison maps between them, the
-pushforward of Levis and its section, can be checked against both.
+is materialized on its own, so the comparison maps between them, the
+pushforward of Levis and its section, can be checked against both.  Both
+sides build their Levis from raw (block id, orientation) groups; ``GEtaLevi``
+and ``EStElement`` normalize them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .ambient import Ambient, GEtaLevi, Group, _d_squared, _normalize_group
-from .catalog import grouping_patterns
+from .ambient import Ambient, GEtaLevi, Group, _d_squared, _eta_orientation, _home_groupings, _normalize_group
 from .descent import Block, DescentOutcome, _neg_rep_exp, orbit_of, placement, placement_independent, sigma
 from .errors import InvariantViolation
 from .qspaces import DSquared
 
 HomeKey = tuple
-
-
-def _eta_orientation(outcome: DescentOutcome, b: Block) -> int:
-    """Orientation of a block inside its inverse-pair ambient factor: +1 when
-    its exponent lies in the orbit of the home's key."""
-    sc = outcome.scenario
-    return 1 if b.eta_exp in orbit_of(b.home[1], sc.modulus, sc.q) else -1
 
 
 def _eps_orientation(outcome: DescentOutcome, b: Block, t: Sequence[int], home_key: int) -> int:
@@ -35,60 +29,10 @@ def _eps_orientation(outcome: DescentOutcome, b: Block, t: Sequence[int], home_k
     return 1 if exp in orbit_of(home_key, L, sc.q) else -1
 
 
-def _gl_home_pattern(outcome: DescentOutcome, blocks: Sequence[Block]) -> Group:
-    return _normalize_group((b.bid, _eta_orientation(outcome, b)) for b in blocks)
-
-
-def _home_groupings(
-    blocks: Sequence[Block], orient: Callable[[Block], int] | None
-) -> list[tuple[tuple[Group, ...], tuple[Block, ...]]]:
-    """Every grouping of one home's blocks into Levi groups, with the blocks
-    it absorbs.  A pair factor (``orient`` given) groups every block, each
-    with its orientation; a core factor (``orient`` None) groups with signs
-    and absorbs the rest into its core."""
-    if orient is None:
-        return [
-            (
-                tuple([_normalize_group([(blocks[i].bid, e) for i, e in grp]) for grp in groups]),
-                tuple([blocks[i] for i in absorbed]),
-            )
-            for groups, absorbed in grouping_patterns(len(blocks), signed=True, with_core=True)
-        ]
-    return [
-        (tuple([_normalize_group([(blocks[i].bid, orient(blocks[i])) for i, _ in grp]) for grp in groups]), ())
-        for groups, _ in grouping_patterns(len(blocks), signed=False, with_core=False)
-    ]
-
-
 def _degenerate(home: tuple, y: int, klass: str) -> bool:
     """Whether a core datum degenerates: a symplectic core whose even part
     is split of rank one, a torus rather than an elliptic factor."""
     return home[0] == "sp" and y == 1 and klass == "split"
-
-
-# ---------------------------------------------------------------------------
-# Levis of the big centralizer
-
-
-def enumerate_levis(outcome: DescentOutcome) -> tuple[GEtaLevi, ...]:
-    """All Levis of the big centralizer containing the matched Levi."""
-    per_home = []
-    for home in outcome.homes:
-        orient = (lambda b: _eta_orientation(outcome, b)) if home[0] == "gl" else None
-        per_home.append([groups for groups, _ in _home_groupings(outcome.home_blocks(home), orient)])
-    return tuple(GEtaLevi(tuple(itertools.chain(*combo))) for combo in itertools.product(*per_home))
-
-
-def top_levi(outcome: DescentOutcome) -> GEtaLevi:
-    """The big centralizer itself as a Levi: pair factors fully grouped."""
-    groups = []
-    for home in outcome.homes:
-        if home[0] != "gl":
-            continue
-        blocks = outcome.home_blocks(home)
-        if blocks:
-            groups.append(_gl_home_pattern(outcome, blocks))
-    return GEtaLevi(tuple(groups))
 
 
 def is_elliptic(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi, t: Sequence[int]) -> bool:
@@ -131,13 +75,19 @@ def gs_homes(outcome: DescentOutcome, t: Sequence[int]) -> dict[HomeKey, tuple[B
 
 @dataclass(frozen=True)
 class EStElement:
-    """One stable-side index: a twist plus a Levi of the descended group."""
+    """One stable-side index: a twist plus a Levi of the descended group.
+
+    Each group sits at its factor home; the constructor normalizes the
+    groups as ``GEtaLevi`` does, and sorts them by home.
+    """
 
     t: tuple[int, ...]
     groups: tuple[tuple[HomeKey, Group], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", tuple(sorted(self.groups)))
+        object.__setattr__(
+            self, "groups", tuple(sorted((key, _normalize_group(g)) for key, g in self.groups))
+        )
 
     def grouped_bids(self) -> frozenset[int]:
         return frozenset(b for _, g in self.groups for b, _ in g)
@@ -212,13 +162,8 @@ def pushforward_levi(
             raise InvariantViolation("pushforward needs sign-pure groups")
         key = placement(outcome, b0, t)
         if key[1] == "gl":
-            members = [amb.block[bid] for bid, _ in grp]
-            pat = _normalize_group(
-                (b.bid, _eps_orientation(outcome, b, t, key[2])) for b in members
-            )
-            groups.append((key, pat))
-        else:
-            groups.append((key, grp))
+            grp = tuple((bid, _eps_orientation(outcome, amb.block[bid], t, key[2])) for bid, _ in grp)
+        groups.append((key, grp))
     return EStElement(tuple(t), tuple(groups))
 
 
@@ -227,11 +172,9 @@ def section_levi(outcome: DescentOutcome, amb: Ambient, elem: EStElement) -> GEt
     big centralizer."""
     groups: list[Group] = []
     for _, grp in elem.groups:
-        b0 = amb.block[grp[0][0]]
-        if b0.home[0] == "gl":
-            groups.append(_gl_home_pattern(outcome, [amb.block[bid] for bid, _ in grp]))
-        else:
-            groups.append(grp)
+        if amb.block[grp[0][0]].home[0] == "gl":
+            grp = tuple((bid, _eta_orientation(outcome, amb.block[bid])) for bid, _ in grp)
+        groups.append(grp)
     return GEtaLevi(tuple(groups))
 
 
@@ -288,9 +231,7 @@ def build_E_inst(outcome: DescentOutcome, amb: Ambient | None = None) -> set:
     """Independent instable-side index set: (Levi, datum class) pairs."""
     amb = amb or Ambient(outcome)
     out = set()
-    for levi in enumerate_levis(outcome):
-        if not amb.transverse(levi.groups):
-            continue
+    for levi in amb.transverse_levis:
         for datum in enumerate_einst_data(outcome, amb, levi):
             out.add((levi, datum))
     return out
@@ -300,7 +241,7 @@ def build_E_st(outcome: DescentOutcome, amb: Ambient | None = None) -> set:
     """Independent stable-side index set: (twist, endoscopic Levi) pairs."""
     amb = amb or Ambient(outcome)
     out = set()
-    for t in itertools.product((1, -1), repeat=outcome.i_count):
+    for t in outcome.twists:
         for elem in enumerate_e_st(outcome, amb, t):
             if amb.transverse(g for _, g in elem.groups):
                 out.add(elem)

@@ -15,10 +15,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from endokit.ambient import GEtaLevi
+from endokit.ambient import GEtaLevi, _eta_orientation
 from endokit.catalog import GroupType, gl, so_even, so_odd, sp, u
 from endokit.descent import gs_descended_types
-from endokit.indexsets import _eta_orientation
 from endokit.lattices import DiagSubgroup, IntLattice
 from endokit.rootsofunity import RootOfUnity
 

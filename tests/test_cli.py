@@ -57,6 +57,22 @@ class TestEnumerationCommands:
         result = runner.invoke(main, ["eset", "--m", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [["--i", "1", "--m", "1", "--s0", "x"], ["--i", "-1"]], ids=["bad-s0", "negative-i"])
+    def test_eset_bad_input_is_a_usage_error(self, runner, args):
+        result = runner.invoke(main, ["eset", *args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
+
+    def test_eset_empty_sizes_is_the_levi_without_blocks(self, runner):
+        result = runner.invoke(main, ["eset", "--sizes", "", "--m", "1", "--format", "json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output) == [{"signs": "-", "n_prime": 1, "n_dblprime": 0, "group": "SO(3)"}]
+
+    def test_eset_base_off_the_remainder_exits_three(self, runner):
+        result = runner.invoke(main, ["eset", "--sizes", "1", "--m", "2", "--s0", "1,0"])
+        assert result.exit_code == 3
+        assert "domain error: base datum does not match the Levi remainder" in result.output
+
 
 class TestCoeffCommand:
     def test_nonstandard_half(self, runner):

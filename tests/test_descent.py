@@ -6,7 +6,7 @@ from math import gcd, lcm
 import oracles
 import pytest
 
-from endokit.ambient import Ambient, atom_layout
+from endokit.ambient import Ambient, GEtaLevi, atom_layout, enumerate_levis, top_levi
 from endokit.catalog import GroupType, gl, so_even, so_odd, sp, u
 from endokit.descent import (
     DescentScenario,
@@ -31,7 +31,7 @@ from endokit.descent import (
 from endokit.enatural import enumerate_E_natural, pushed_group_check, verify_identities, verify_index_sets
 from endokit.endoscopy import EigenMultiset, EllipticDatumMeta
 from endokit.errors import ScenarioValidationError
-from endokit.indexsets import build_E_st, enumerate_levis, pushforward_levi, section_levi, top_levi
+from endokit.indexsets import EStElement, build_E_st, enumerate_e_st, pushforward_levi, section_levi
 from endokit.lattices import diag_identity_component, diag_index
 from endokit.rootsofunity import RootOfUnity
 from oracles import bottom_levi, general_assignments, general_twist_check, torus_layout
@@ -329,6 +329,38 @@ class TestIndexSets:
         assert len(build_E_st(o, amb)) == len(enumerate_E_natural(o, amb))
 
 
+class TestCanonicalConstructors:
+    """``GEtaLevi`` and ``EStElement`` normalize the raw groups they are
+    given: members sorted by block id, leading sign +1, groups sorted."""
+
+    @staticmethod
+    def _scrambled(group):
+        # members reversed and every sign flipped: after sorting, the
+        # leading sign is -1
+        return tuple((bid, -e) for bid, e in reversed(group))
+
+    def test_raw_groups_give_the_normalized_object(self):
+        # two +1 blocks: groups of both blocks on either side
+        two_plus = scenario(2, (1, 1), (0, 0), 3, (ms(ONE), ms(ONE)), ms(ONE), ms(ONE))
+        shared = 0  # stable-side groups of more than one block
+        for sc in [*CORPUS, two_plus]:
+            o = descend(sc)
+            amb = Ambient(o)
+            for levi in enumerate_levis(o):
+                assert GEtaLevi(tuple(self._scrambled(g) for g in reversed(levi.groups))) == levi
+            for t in o.twists:
+                for elem in enumerate_e_st(o, amb, t):
+                    raw = tuple((key, self._scrambled(g)) for key, g in reversed(elem.groups))
+                    assert EStElement(t, raw) == elem
+                    shared += sum(len(g) > 1 for _, g in elem.groups)
+        assert shared
+
+    def test_members_out_of_order(self):
+        assert GEtaLevi((((2, 1), (0, -1)), ((1, 1),))) == GEtaLevi((((1, 1),), ((0, 1), (2, -1))))
+        raw = EStElement((1,), ((("p", "gl", 1), ((3, -1), (1, 1))), (("p", "odd"), ((0, -1),))))
+        assert raw.groups == ((("p", "gl", 1), ((1, 1), (3, -1))), (("p", "odd"), ((0, 1),)))
+
+
 class TestCoefficientIdentities:
     @pytest.mark.parametrize("sc", CORPUS, ids=lambda s: s.digest()[:24])
     def test_all_identities(self, sc):
@@ -515,6 +547,26 @@ class TestAtomCoordinates:
         assert narrower > len(outcomes) // 2, (narrower, len(outcomes))
 
 
+class TestDerivedOnce:
+    """What an outcome and its ``Ambient`` derive once equals a fresh
+    recomputation, after the checks of a shape miss have used them."""
+
+    @pytest.mark.parametrize("fault", [None, "corrupt-sbar0"])
+    def test_held_levis_and_twists_match_recomputation(self, fault):
+        from endokit.campaign import CampaignSpec, _corrupt_sbar0, scenario_corpus
+
+        for sc in scenario_corpus(CampaignSpec(max_rank=3, suites=("descent",))):
+            o = descend(sc)
+            o = _corrupt_sbar0(o) if fault else o
+            amb = Ambient(o)
+            for t in o.twists:
+                pushed_group_check(o, amb, t)
+            enumerate_E_natural(o, amb)
+            assert o.twists == tuple(itertools.product((1, -1), repeat=o.i_count))
+            assert amb.transverse_levis == tuple(levi for levi in enumerate_levis(o) if amb.transverse(levi.groups))
+            assert amb.top_levi == top_levi(o)
+
+
 class TestMemoTables:
     """Memoized lattice-level results equal what recomputation gives."""
 
@@ -529,6 +581,11 @@ class TestMemoTables:
             lattices.diag_identity_component,
             lattices.diag_index,
             ambient._d_squared,
+            descent.orbit_of,
+            descent._pair_key_exp,
+            descent._neg_rep_exp,
+            descent._self_inverse_exp,
+            descent._MultisetProfile,
             descent._gl_block_residues,
             descent._odd_orthogonal_factors,
         ):
