@@ -10,7 +10,6 @@ whole report reproducible byte for byte.
 from __future__ import annotations
 
 import csv
-import heapq
 import itertools
 import json
 import random
@@ -74,7 +73,7 @@ class CampaignSpec:
     suites: tuple[str, ...] = SUITES
     seed: int = 0
     torsion_samples: int = 1000
-    fault: str | None = None  # testing hook: "corrupt-sbar0"
+    fault: str | None = None  # testing hook: a key of ``FAULTS``
 
     def complexity_note(self) -> str:
         return (
@@ -109,6 +108,8 @@ Verdict = tuple[str, str, str, tuple]
 # One record as the report writes it: (check, law, scenario, status, witness
 # items sorted by key).
 Row = tuple[str, str, str, str, Sequence]
+# What every suite appends: a scenario and its verdicts.
+Pair = tuple[str, tuple[Verdict, ...]]
 
 # The checks of one descent outcome and their laws, in the order of every
 # verdict tuple that ``_check_outcome`` returns.
@@ -130,13 +131,6 @@ DESCENT_LAWS = {
     "entry-count": "index set sizes recorded",
 }
 BUILD_CHECK = ("scenario-build", "scenario validates and descends")
-# Check name -> position, for the two layouts a verdict tuple can have: the
-# descent checks, or a lone scenario-build failure.  They differ in length,
-# which is how a tuple's layout is found.
-_LAYOUTS = {
-    len(DESCENT_LAWS): {check: i for i, check in enumerate(DESCENT_LAWS)},
-    1: {BUILD_CHECK[0]: 0},
-}
 
 
 class ScenarioRecords(Sequence):
@@ -158,30 +152,6 @@ class ScenarioRecords(Sequence):
             return [self[j] for j in range(*i.indices(len(self)))]
         check, law, status, witness = self.verdicts[i]
         return CheckRecord(check, law, self.digest, status, dict(witness))
-
-
-class VerdictStore:
-    """The descent suite's verdicts: one ``(digest, verdicts)`` pair per
-    scenario, sorted by digest.  ``verdicts`` is the tuple ``_check_outcome``
-    returned for the scenario's shape, interned by its ``ShapeCache`` so that
-    each distinct tuple is held once and shared by every scenario whose shape
-    has that verdict, or a lone scenario-build failure."""
-
-    def __init__(self, pairs: Iterable[tuple[str, tuple[Verdict, ...]]]):
-        self.pairs = sorted(pairs, key=itemgetter(0))
-        self.record_count = sum(len(v) for _, v in self.pairs)
-        distinct = {id(v): v for _, v in self.pairs}.values()
-        self.passed = all(status == "pass" for v in distinct for _, _, status, _ in v)
-        self.checks = {check for v in distinct for check in _LAYOUTS[len(v)]}
-
-    def rows(self, check: str) -> Iterator[Row]:
-        """The records of ``check``, by digest: one pass over the pairs."""
-        positions = {size: layout.get(check) for size, layout in _LAYOUTS.items()}
-        for digest, verdicts in self.pairs:
-            i = positions[len(verdicts)]
-            if i is not None:
-                _, law, status, witness = verdicts[i]
-                yield check, law, digest, status, witness
 
 
 _enc = json.encoder.encode_basestring_ascii
@@ -222,34 +192,29 @@ class _Records:
 
 
 class VerificationReport:
-    """A campaign's records: ``records`` in report order, and, if the campaign
-    ran the descent suite, its verdict store.  With a store, ``records`` must
-    be sorted by ``(check, scenario)``; the report order merges the two by
-    that key."""
+    """A campaign's records, as the ``(scenario, verdicts)`` pairs its suites
+    appended, sorted by scenario once.  A descent scenario's ``verdicts`` is
+    its shape's tuple from ``_check_outcome``, interned by a ``ShapeCache``
+    so that each distinct tuple is held once, or a lone scenario-build
+    failure; a record of any other suite is a pair of its own with one
+    verdict.  ``_at`` maps each check name to its position in every distinct
+    tuple that holds it, keyed by the tuple's ``id``."""
 
-    def __init__(
-        self,
-        spec: CampaignSpec,
-        records: list[CheckRecord] | None = None,
-        timings: dict[str, float] | None = None,
-        descent: VerdictStore | None = None,
-    ):
+    def __init__(self, spec: CampaignSpec, pairs: Iterable[Pair] = (), timings: dict[str, float] | None = None):
         self.spec = spec
-        self._records = [] if records is None else records
+        self.pairs = sorted(pairs, key=itemgetter(0))
         self.timings = {} if timings is None else timings
-        self.descent = descent
+        distinct = {id(v): v for _, v in self.pairs}
+        self._at: dict[str, dict[int, int]] = {}
+        for key, verdicts in distinct.items():
+            for i, (check, *_) in enumerate(verdicts):
+                self._at.setdefault(check, {})[key] = i
+        self.record_count = sum(len(v) for _, v in self.pairs)
+        self.passed = all(status == "pass" for v in distinct.values() for _, _, status, _ in v)
 
     @property
     def records(self) -> _Records:
         return _Records(self)
-
-    @property
-    def record_count(self) -> int:
-        return len(self._records) + (0 if self.descent is None else self.descent.record_count)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.status == "pass" for r in self._records) and (self.descent is None or self.descent.passed)
 
     def failures(self) -> list[CheckRecord]:
         if self.passed:
@@ -257,22 +222,15 @@ class VerificationReport:
         return [r for r in self.records if r.status != "pass"]
 
     def rows(self) -> Iterator[Row]:
-        """Every record as a ``Row``, in report order: per check name, the
-        listed records merged by scenario with the store's, which come as one
-        pass over its pairs."""
-        listed = ((r.check, r.law, r.scenario, r.status, sorted(r.witness.items())) for r in self._records)
-        if self.descent is None:
-            yield from listed
-            return
-        by_check: dict[str, list[Row]] = {}
-        for row in listed:
-            by_check.setdefault(row[0], []).append(row)
-        for check in sorted(by_check.keys() | self.descent.checks):
-            stored = self.descent.rows(check) if check in self.descent.checks else ()
-            if check in by_check:
-                yield from heapq.merge(by_check[check], stored, key=itemgetter(2))
-            else:
-                yield from stored
+        """Every record as a ``Row``, in report order, by check name and then
+        scenario: one pass over the pairs per check name."""
+        for check in sorted(self._at):
+            at = self._at[check]
+            for scenario, verdicts in self.pairs:
+                i = at.get(id(verdicts))
+                if i is not None:
+                    _, law, status, witness = verdicts[i]
+                    yield check, law, scenario, status, witness
 
     def _meta(self) -> dict:
         return {
@@ -350,8 +308,9 @@ def _orbit_inventory(orders: Sequence[int], L: int, q: int) -> list[tuple[int, i
     return out
 
 
-def _orbit_multisets(inventory: Sequence[tuple[int, int]], size: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Multisets of orbits with total weight ``size``: ((rep, mult), ...)."""
+def _orbit_multisets(inventory: Sequence[tuple], size: int) -> Iterator[tuple[tuple, ...]]:
+    """Multisets of ``(item, weight)`` inventory entries with total weight
+    ``size``: ((item, mult), ...), each multiplicity positive."""
 
     def rec(idx: int, rest: int, acc: tuple) -> Iterator[tuple]:
         if rest == 0:
@@ -394,24 +353,11 @@ def _orthogonal_multisets(
             items.append(((rep, min(orbit_inverse(orb, L))), 2 * w))
     for plus in range(1, size + 1, 2):
         for minus in range(0, size - plus + 1, 2):
-            rest = size - plus - minus
-
-            def rec(idx: int, left: int, acc: tuple) -> Iterator[tuple]:
-                if left == 0:
-                    yield acc
-                    return
-                if idx == len(items):
-                    return
-                reps, w = items[idx]
-                for mult in range(left // w, -1, -1):
-                    tail = tuple((r, mult) for r in reps) if mult else ()
-                    yield from rec(idx + 1, left - mult * w, acc + tail)
-
-            for combo in rec(0, rest, ()):
+            for combo in _orbit_multisets(items, size - plus - minus):
                 orbits = [(0, plus)]
                 if minus:
                     orbits.append((L // 2, minus))
-                orbits.extend(combo)
+                orbits.extend((r, mult) for reps, mult in combo for r in reps)
                 yield _expand(orbits, L, q)
 
 
@@ -510,11 +456,13 @@ class FiniteDiagOracle:
 # suites
 
 
-def _rec(records: list[CheckRecord], check: str, law: str, scenario: str, ok: bool, witness: dict | None = None) -> None:
-    records.append(CheckRecord(check, law, scenario, "pass" if ok else "fail", witness or {}))
+def _rec(records: list[Pair], check: str, law: str, scenario: str, ok: bool, witness: dict | None = None) -> None:
+    """Append one record as a pair of its own."""
+    verdict = (check, law, "pass" if ok else "fail", tuple(sorted((witness or {}).items())))
+    records.append((scenario, (verdict,)))
 
 
-def run_counts_suite(spec: CampaignSpec, records: list[CheckRecord]) -> None:
+def run_counts_suite(spec: CampaignSpec, records: list[Pair]) -> None:
     for m in range(0, 9):
         data = elliptic_data_meta(m)
         _rec(records, "elliptic-datum-count", "number of elliptic data over a rank-m factor is m+1",
@@ -528,7 +476,7 @@ def run_counts_suite(spec: CampaignSpec, records: list[CheckRecord]) -> None:
                      got == 2 ** datum.block_count, {"count": got})
 
 
-def run_nonstandard_suite(spec: CampaignSpec, records: list[CheckRecord]) -> None:
+def run_nonstandard_suite(spec: CampaignSpec, records: list[Pair]) -> None:
     for n in range(1, 7):
         triple = build_triple(n)
         idx = lattice_index(triple.x2, triple.x1)
@@ -563,7 +511,7 @@ def _random_orthogonal(rng: random.Random, m: int) -> EigenMultiset:
     return EigenMultiset.odd_orthogonal(entries)
 
 
-def run_torsion_suite(spec: CampaignSpec, records: list[CheckRecord]) -> None:
+def run_torsion_suite(spec: CampaignSpec, records: list[Pair]) -> None:
     rng = random.Random(spec.seed)
     shapes = [
         (sizes, m)
@@ -621,7 +569,7 @@ def _catalog_groups(max_rank: int) -> Iterator[GroupType]:
             yield combined
 
 
-def run_arthur_product_suite(spec: CampaignSpec, records: list[CheckRecord]) -> None:
+def run_arthur_product_suite(spec: CampaignSpec, records: list[Pair]) -> None:
     bound = min(spec.max_rank + 2, 6)
     for g in _catalog_groups(bound):
         layout = layout_for(g)
@@ -663,7 +611,7 @@ def _finite_diag_family(seed: int) -> Iterator[tuple[int, DiagSubgroup, DiagSubg
         yield n, d1, d2
 
 
-def run_diag_oracle_suite(spec: CampaignSpec, records: list[CheckRecord]) -> None:
+def run_diag_oracle_suite(spec: CampaignSpec, records: list[Pair]) -> None:
     for case, (n, d1, d2) in enumerate(_finite_diag_family(spec.seed + 1)):
         o1, o2 = FiniteDiagOracle.of(d1), FiniteDiagOracle.of(d2)
         meet = diag_intersect(d1, d2)
@@ -686,7 +634,7 @@ def run_diag_oracle_suite(spec: CampaignSpec, records: list[CheckRecord]) -> Non
         )
 
 
-def run_goldens_suite(spec: CampaignSpec, records: list[CheckRecord]) -> None:
+def run_goldens_suite(spec: CampaignSpec, records: list[Pair]) -> None:
     levi = LeviDatum((1,), 1)
     s0 = EllipticDatumMeta(1, 0)
     plus = i_meta(levi, s0, SElement(levi, s0, (1,)))
@@ -703,6 +651,11 @@ def _corrupt_sbar0(outcome: DescentOutcome) -> DescentOutcome:
     first = outcome.blocks[0]
     bad = replace(first, sbar0=-first.sbar0)
     return replace(outcome, blocks=(bad,) + outcome.blocks[1:])
+
+
+# Testing hooks: ``CampaignSpec.fault`` names one, which ``check_scenario``
+# applies to every outcome before checking it.
+FAULTS = {"corrupt-sbar0": _corrupt_sbar0}
 
 
 def outcome_shape(outcome: DescentOutcome) -> str:
@@ -794,8 +747,8 @@ def check_scenario(
         outcome = descend(sc)
     except EndokitError as exc:
         return ScenarioRecords(digest, ((*BUILD_CHECK, "fail", (("error", str(exc)),)),))
-    if fault == "corrupt-sbar0":
-        outcome = _corrupt_sbar0(outcome)
+    if fault is not None:
+        outcome = FAULTS[fault](outcome)
     if shape_cache is None:
         return ScenarioRecords(digest, _check_outcome(outcome))
     key = outcome_shape(outcome)
@@ -865,14 +818,12 @@ def _check_outcome(outcome: DescentOutcome) -> tuple[Verdict, ...]:
     )
 
 
-def _scenario_pairs(scenarios: Iterable[DescentScenario], fault: str | None) -> list[tuple[str, tuple[Verdict, ...]]]:
+def _scenario_pairs(scenarios: Iterable[DescentScenario], fault: str | None) -> Iterator[Pair]:
     """``(digest, verdicts)`` of each scenario, through one shape cache."""
     cache = ShapeCache()
-    pairs = []
     for sc in scenarios:
         got = check_scenario(sc, fault, cache)
-        pairs.append((got.digest, got.verdicts))
-    return pairs
+        yield got.digest, got.verdicts
 
 
 def _shards(scenarios: Iterable[DescentScenario], jobs: int) -> list[list[DescentScenario]]:
@@ -889,30 +840,27 @@ def _shards(scenarios: Iterable[DescentScenario], jobs: int) -> list[list[Descen
     return [shard for shard in shards if shard]
 
 
-def run_descent_suite(spec: CampaignSpec, jobs: int = 1) -> VerdictStore:
+def run_descent_suite(spec: CampaignSpec, records: list[Pair], jobs: int = 1) -> None:
     scenarios = scenario_corpus(spec)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if jobs <= 1:
+        records.extend(_scenario_pairs(scenarios, spec.fault))
+        return
+    from concurrent.futures import ProcessPoolExecutor
 
-        shards = _shards(scenarios, jobs)
-        if not shards:
-            return VerdictStore(())
+    shards = _shards(scenarios, jobs)
+    if shards:
         with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            chunks = pool.map(_check_bucket_worker, [(shard, spec.fault) for shard in shards])
-            return VerdictStore(pair for chunk in chunks for pair in chunk)
-    return VerdictStore(_scenario_pairs(scenarios, spec.fault))
+            for chunk in pool.map(_check_bucket_worker, [(shard, spec.fault) for shard in shards]):
+                records.extend(chunk)
 
 
-def _check_bucket_worker(args: tuple[list[DescentScenario], str | None]) -> list[tuple[str, tuple[Verdict, ...]]]:
+def _check_bucket_worker(args: tuple[list[DescentScenario], str | None]) -> list[Pair]:
     """A pool task: the ``(digest, verdicts)`` pairs of one shard.  Pickle's
     memo sends each distinct verdict tuple once."""
-    return _scenario_pairs(*args)
+    return list(_scenario_pairs(*args))
 
 
 def run_campaign(spec: CampaignSpec, jobs: int = 1) -> VerificationReport:
-    records: list[CheckRecord] = []
-    timings: dict[str, float] = {}
-    descent = None
     suite_runners = {
         "counts": run_counts_suite,
         "nonstandard": run_nonstandard_suite,
@@ -920,15 +868,17 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> VerificationReport:
         "arthur-product": run_arthur_product_suite,
         "diag-oracle": run_diag_oracle_suite,
         "goldens": run_goldens_suite,
+        "descent": lambda spec, records: run_descent_suite(spec, records, jobs),
     }
     for suite in spec.suites:
-        t0 = time.time()
-        if suite == "descent":
-            descent = run_descent_suite(spec, jobs=jobs)
-        elif suite in suite_runners:
-            suite_runners[suite](spec, records)
-        else:
+        if suite not in suite_runners:
             raise ValueError(f"unknown suite {suite!r}")
+    if spec.fault is not None and spec.fault not in FAULTS:
+        raise ValueError(f"unknown fault {spec.fault!r}")
+    pairs: list[Pair] = []
+    timings: dict[str, float] = {}
+    for suite in spec.suites:
+        t0 = time.time()
+        suite_runners[suite](spec, pairs)
         timings[suite] = time.time() - t0
-    records.sort(key=lambda r: (r.check, r.scenario))
-    return VerificationReport(spec, records, timings, descent)
+    return VerificationReport(spec, pairs, timings)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmbeddingInvalid, LayoutMismatch, UnsupportedFactor
@@ -551,11 +552,7 @@ def weyl_relative_order(g: GroupType, levi: LeviDatum) -> int:
         raise EmbeddingInvalid("Levi datum rank does not match the group")
     order = 2 ** len(levi.sizes)
     for size in set(levi.sizes):
-        c = levi.sizes.count(size)
-        f = 1
-        for k in range(2, c + 1):
-            f *= k
-        order *= f
+        order *= factorial(levi.sizes.count(size))
     return order
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import click
 
 from .ambient import Ambient
-from .campaign import SUITES, CampaignSpec, run_campaign
+from .campaign import FAULTS, SUITES, CampaignSpec, run_campaign
 from .catalog import LeviDatum, levi_data, sp, u
 from .descent import DescentScenario, compatibility_check, descend
 from .enatural import enumerate_E_natural, pushed_group_check, verify_identities, verify_index_sets
@@ -93,6 +93,23 @@ def _parse_sizes(text: str | None) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
 
+def _parse_s0(text: str) -> tuple[int, int]:
+    """A base datum ``m',m''``; anything else is a usage error."""
+    try:
+        mp, md = (int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise click.UsageError(f"bad --s0 {text!r}: {exc}")
+    return mp, md
+
+
+def _parse_signs(text: str) -> tuple[int, ...]:
+    """A comma list of ``+`` and ``-``; anything else is a usage error."""
+    try:
+        return tuple({"+": 1, "-": -1}[x.strip()] for x in text.split(","))
+    except KeyError as exc:
+        raise click.UsageError(f"bad --signs entry {exc.args[0]!r}: give + or -")
+
+
 def _parse_rationals(text: str) -> list[Fraction]:
     return [Fraction(x.strip()) for x in text.split(",") if x.strip()]
 
@@ -154,8 +171,7 @@ def eset(block_count: int | None, sizes: str | None, m: int, s0: str | None, fmt
     try:
         datum = LeviDatum(_parse_sizes(sizes) if sizes is not None else tuple([1] * block_count), m)
         if s0:
-            mp, md = (int(x) for x in s0.split(","))
-            base = EllipticDatumMeta(mp, md)
+            base = EllipticDatumMeta(*_parse_s0(s0))
         else:
             base = EllipticDatumMeta(m, 0)
     except ValueError as exc:
@@ -228,6 +244,11 @@ def correspond(gamma_prime: str, gamma_dblprime: str, lie: bool, fmt: str, out: 
 @click.option("--out", type=click.Path(), default=None)
 def coeff(kind, n, sizes, m, s0, signs, ambient, even_class, dbl_side, dim, am, al, ar, fmt, out):
     """Exact index and volume coefficients."""
+    if kind in ("i-meta", "i-standard"):
+        if not s0:
+            raise click.UsageError("--s0 is required")
+        mp, md = _parse_s0(s0)
+    sign_tuple = _parse_signs(signs) if signs else None
     try:
         if kind == "c-nonstandard":
             if n is None:
@@ -240,22 +261,12 @@ def coeff(kind, n, sizes, m, s0, signs, ambient, even_class, dbl_side, dim, am, 
         elif kind == "i-meta":
             size_tuple = _parse_sizes(sizes)
             datum = LeviDatum(size_tuple, m)
-            if not s0:
-                raise click.UsageError("--s0 is required")
-            mp, md = (int(x) for x in s0.split(","))
             base = EllipticDatumMeta(mp, md)
-            sign_tuple = (
-                tuple(1 if x.strip() == "+" else -1 for x in signs.split(","))
-                if signs
-                else tuple([1] * datum.block_count)
-            )
+            sign_tuple = sign_tuple or tuple([1] * datum.block_count)
             value = i_meta(datum, base, SElement(datum, base, sign_tuple))
             rows = [{"value": _frac(value)}]
         elif kind == "i-standard":
             size_tuple = _parse_sizes(sizes)
-            if not s0:
-                raise click.UsageError("--s0 is required")
-            mp, md = (int(x) for x in s0.split(","))
             if ambient == "sp":
                 total = mp + md + sum(size_tuple)
                 cfg = ArthurConfig(sp(total), size_tuple, sp_datum=SpEllipticDatum(mp, md, even_class))
@@ -279,8 +290,6 @@ def coeff(kind, n, sizes, m, s0, signs, ambient, even_class, dbl_side, dim, am, 
 
             dsq = d_coefficient(space(am), space(al), space(ar), QForm.standard(dim))
             rows = [{"d_squared": _frac(dsq.value)}]
-    except click.UsageError:
-        raise
     except (EndokitError, ValueError) as exc:
         click.echo(f"domain error: {exc}", err=True)
         sys.exit(EXIT_DOMAIN_ERROR)
@@ -357,7 +366,7 @@ main.add_command(descend_cmd, name="descend")
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="report path")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json")
-@click.option("--inject-fault", type=click.Choice(["corrupt-sbar0"]), default=None, hidden=True)
+@click.option("--inject-fault", type=click.Choice(sorted(FAULTS)), default=None, hidden=True)
 def verify(max_rank, orders, q_values, suites, seed, jobs, out, fmt, inject_fault) -> None:
     """Run a verification campaign and write a machine-readable report."""
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import _intlinalg as la
@@ -233,12 +234,7 @@ class DiagSubgroup:
         neq = len(fgs) + len(tgs)
         if neq == 0:
             return DiagSubgroup.full_torus(ambient_rank)
-        mods = []
-        for g in fgs:
-            den = 1
-            for x in g:
-                den = den * x.denominator // _gcd(den, x.denominator)
-            mods.append(den)
+        mods = [lcm(*(x.denominator for x in g)) for g in fgs]
         # chi vanishes iff chi . (D_k g_k) == 0 mod D_k for each finite
         # generator and chi . w == 0 for each torus generator.  Introduce one
         # integer slack per congruence; unknowns are (chi, slacks), one row
@@ -326,9 +322,3 @@ def arthur_product_check(d_h: DiagSubgroup, d_s: DiagSubgroup, d_s0: DiagSubgrou
     if d_s0 != diag_identity_component(d_s):
         raise NotCommensurable("third argument is not the identity component of the second")
     return diag_product(d_h, d_s0) == d_s
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

@@ -7,7 +7,8 @@ rational subspaces and volume ratios by Fraction row reduction, the
 torus coordinates of a descent outcome (one coordinate per eigenvalue), the
 centralizer of a general twist (symbolic labels alongside signs) from the
 sign algebra alone, and the Frobenius orbits of exponents as Fractions in
-Q/Z.  The matched Levi and the test for -1 are read only by tests.
+Q/Z.  The matched Levi and the test for -1 are read only by tests, and so
+is the report's ``(scenario, verdicts)`` pair of a lone ``CheckRecord``.
 """
 
 from __future__ import annotations
@@ -448,3 +449,9 @@ def sc_is_minus_one(x) -> bool:
     if isinstance(x, RootOfUnity):
         return x.is_minus_one
     return x == -1
+
+
+def record_pairs(records) -> list:
+    """The ``(scenario, verdicts)`` pair of each ``CheckRecord``, one verdict
+    each, as ``VerificationReport`` takes them."""
+    return [(r.scenario, ((r.check, r.law, r.status, tuple(sorted(r.witness.items()))),)) for r in records]

@@ -27,6 +27,7 @@ from endokit.campaign import (
 )
 from endokit.descent import descend
 from endokit.errors import EndokitError, NotCommensurable
+from oracles import record_pairs
 
 
 # sha256 of the rank-3 descent campaign's checks, json.dumps(indent=2,
@@ -57,7 +58,7 @@ def test_shape_cache_matches_uncached_checks(fault):
         assert list(want) == list(DESCENT_LAWS)
         assert by_scenario[sc.digest()] == want, sc.digest()
     # every distinct verdict tuple is held once
-    verdicts = [v for _, v in rep.descent.pairs]
+    verdicts = [v for _, v in rep.pairs]
     assert len({id(v) for v in verdicts}) == len({repr(v) for v in verdicts})
 
 
@@ -175,11 +176,36 @@ def test_build_failure_is_one_record(monkeypatch):
     ]
 
 
-def test_plain_record_list_keeps_its_order():
-    records = [CheckRecord("b", "law", "2", "pass"), CheckRecord("a", "law", "1", "fail", {"k": 1})]
-    rep = VerificationReport(CampaignSpec(), records)
-    assert list(rep.records) == records
-    assert rep.failures() == records[1:]
+def test_pairs_out_of_order_give_rows_in_report_order():
+    """Pairs of the three kinds a report holds, given out of order: descent
+    scenarios that share one interned 15-verdict tuple and one that has its
+    own, a lone scenario-build failure, and a one-verdict record under a
+    check name the descent suite uses too."""
+    cache = ShapeCache()
+    checked = [check_scenario(sc, None, cache) for sc in scenario_corpus(CampaignSpec(max_rank=1))]
+    shared = [(got.digest, got.verdicts) for got in checked if got.verdicts is checked[0].verdicts][:2]
+    own = next((got.digest, got.verdicts) for got in checked if got.verdicts is not checked[0].verdicts)
+    descent = [*shared, own]
+    digests = sorted(d for d, _ in descent)
+    build = ("n0;build", ((*campaign.BUILD_CHECK, "fail", (("error", "no descent"),)),))
+    arthur = CheckRecord("center-product-law", "arthur", digests[0] + "!", "pass", {"levi": "GL(1)"})
+    pairs = [descent[2], *record_pairs([arthur]), build, descent[1], descent[0]]
+    rep = VerificationReport(CampaignSpec(), pairs)
+    got = [(r.check, r.scenario, r.law, r.status, tuple(sorted(r.witness.items()))) for r in rep.records]
+    assert got == sorted((check, scenario, law, status, witness) for scenario, verdicts in pairs
+                         for check, law, status, witness in verdicts)
+    assert len(got) == rep.record_count == 3 * len(DESCENT_LAWS) + 2
+    center = [r.scenario for r in rep.records if r.check == "center-product-law"]
+    assert center == [digests[0], arthur.scenario, *digests[1:]]
+    assert rep.failures() == [CheckRecord(*campaign.BUILD_CHECK, "n0;build", "fail", {"error": "no descent"})]
+    assert not rep.passed
+
+
+def test_unknown_fault_and_suite_are_refused():
+    with pytest.raises(ValueError, match="unknown fault 'corrupt-sbar'"):
+        run_campaign(CampaignSpec(max_rank=2, suites=("descent",), fault="corrupt-sbar"))
+    with pytest.raises(ValueError, match="unknown suite 'decent'"):
+        run_campaign(CampaignSpec(max_rank=2, suites=("decent",)))
 
 
 def test_shards_keep_each_levi_shape_in_one_worker():
@@ -211,9 +237,9 @@ def test_pool_checks_each_shape_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(campaign, "_check_outcome", logged)
     spec = CampaignSpec(max_rank=2, suites=("descent",))
-    seq = run_campaign(spec).descent
+    seq = run_campaign(spec)
     log[0] = tmp_path / "par.log"
-    par = run_campaign(spec, jobs=2).descent
+    par = run_campaign(spec, jobs=2)
     assert par.pairs == seq.pairs
     seq_checks, par_checks = pids(tmp_path / "seq.log"), pids(tmp_path / "par.log")
     assert len(par_checks) == len(seq_checks) > 0

@@ -95,6 +95,23 @@ class TestCoeffCommand:
         assert result.exit_code == 0
         assert json.loads(result.output)[0]["value"] == "1"
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--kind", "i-meta", "--m", "2"], ["--kind", "i-standard", "--sizes", "1"]],
+        ids=["i-meta", "i-standard"],
+    )
+    def test_bad_s0_is_a_usage_error(self, runner, args):
+        result = runner.invoke(main, ["coeff", *args, "--s0", "x"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # a usage error, not a domain error
+
+    def test_bad_sign_is_a_usage_error(self, runner):
+        args = ["coeff", "--kind", "i-meta", "--m", "2", "--s0", "1,1", "--sizes", "1,1"]
+        assert runner.invoke(main, [*args, "--signs", "+,-"]).exit_code == 0
+        result = runner.invoke(main, [*args, "--signs", "+,?"])
+        assert result.exit_code == 2
+        assert "'?'" in result.output
+
     def test_d_zero_on_degenerate(self, runner):
         result = runner.invoke(
             main,

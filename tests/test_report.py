@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from endokit.campaign import CampaignSpec, CheckRecord, VerificationReport, run_campaign
 from endokit.cli import main
+from oracles import record_pairs
 
 FORMATS = ("json", "csv", "text")
 
@@ -76,7 +77,7 @@ def awkward_report() -> VerificationReport:
         for i, s in enumerate(AWKWARD)
     ]
     records.append(CheckRecord("plain", "law", "scenario", "pass"))
-    return VerificationReport(CampaignSpec(max_rank=1, suites=("goldens",)), records,
+    return VerificationReport(CampaignSpec(max_rank=1, suites=("goldens",)), record_pairs(records),
                               {"goldens": 0.00049, "descenté": 12.3456})
 
 
@@ -114,7 +115,7 @@ def test_awkward_strings_match_oracle(fmt):
     st.dictionaries(st.text(max_size=6), st.floats(0, 1e4), max_size=2),
 )
 def test_arbitrary_text_matches_oracle(records, timings):
-    rep = VerificationReport(CampaignSpec(), records, timings)
+    rep = VerificationReport(CampaignSpec(), record_pairs(records), timings)
     for fmt in FORMATS:
         assert written(rep, fmt) == ORACLES[fmt](rep)
 
@@ -151,7 +152,7 @@ def test_write_peak_is_a_tenth_of_the_output(faulted_rank2, fmt, tmp_path):
 def test_write_peak_does_not_grow_with_records(faulted_rank2, fmt, tmp_path):
     peak, size = traced_write(faulted_rank2, fmt, tmp_path / "report")
     rep = faulted_rank2
-    fourfold = VerificationReport(rep.spec, list(rep.records) * 4, rep.timings)
+    fourfold = VerificationReport(rep.spec, record_pairs(rep.records) * 4, rep.timings)
     peak4, size4 = traced_write(fourfold, fmt, tmp_path / "report4")
     assert size4 > 3 * size
     assert peak4 < peak + 0.1 * size, f"peak {peak} -> {peak4} bytes for {size} -> {size4} bytes written"
