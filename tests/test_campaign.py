@@ -1,5 +1,5 @@
-"""The descent suite's verdict store against the slow path, and the report
-built on it."""
+"""The descent suite's shape cache against the slow path, and the report's
+one store of ``(scenario, verdicts)`` pairs."""
 
 import ast
 import hashlib
