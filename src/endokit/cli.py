@@ -87,10 +87,12 @@ def _out_path(out: str | None, default_name: str) -> str | None:
     return None
 
 
-def _parse_sizes(text: str | None) -> tuple[int, ...]:
-    if not text:
-        return ()
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _parse_ints(text: str | None, option: str) -> tuple[int, ...]:
+    """A comma list of integers for ``option``; anything else is a usage error."""
+    try:
+        return tuple(int(x) for x in (text or "").split(",") if x.strip())
+    except ValueError as exc:
+        raise click.UsageError(f"bad {option} {text!r}: {exc}")
 
 
 def _parse_s0(text: str) -> tuple[int, int]:
@@ -169,7 +171,7 @@ def eset(block_count: int | None, sizes: str | None, m: int, s0: str | None, fmt
     if block_count is not None and block_count < 0:
         raise click.UsageError("block count must be nonnegative")
     try:
-        datum = LeviDatum(_parse_sizes(sizes) if sizes is not None else tuple([1] * block_count), m)
+        datum = LeviDatum(_parse_ints(sizes, "--sizes") if sizes is not None else tuple([1] * block_count), m)
         if s0:
             base = EllipticDatumMeta(*_parse_s0(s0))
         else:
@@ -248,32 +250,33 @@ def coeff(kind, n, sizes, m, s0, signs, ambient, even_class, dbl_side, dim, am, 
         if not s0:
             raise click.UsageError("--s0 is required")
         mp, md = _parse_s0(s0)
+    size_tuple = _parse_ints(sizes, "--sizes")
+    side = frozenset(_parse_ints(dbl_side, "--dbl-side"))
     sign_tuple = _parse_signs(signs) if signs else None
+    if sign_tuple is not None and len(sign_tuple) != len(size_tuple):
+        raise click.UsageError(f"--signs has {len(sign_tuple)} entries for {len(size_tuple)} --sizes blocks")
     try:
         if kind == "c-nonstandard":
             if n is None:
                 raise click.UsageError("--n is required")
-            datum = LeviDatum(_parse_sizes(sizes), m)
+            datum = LeviDatum(size_tuple, m)
             if datum.rank != n:
                 raise click.UsageError("sizes plus core must fill the rank")
             value = c_nonstandard_raw(build_triple(n), NSLeviPair(datum))
             rows = [{"value": _frac(value)}]
         elif kind == "i-meta":
-            size_tuple = _parse_sizes(sizes)
             datum = LeviDatum(size_tuple, m)
             base = EllipticDatumMeta(mp, md)
             sign_tuple = sign_tuple or tuple([1] * datum.block_count)
             value = i_meta(datum, base, SElement(datum, base, sign_tuple))
             rows = [{"value": _frac(value)}]
         elif kind == "i-standard":
-            size_tuple = _parse_sizes(sizes)
             if ambient == "sp":
                 total = mp + md + sum(size_tuple)
                 cfg = ArthurConfig(sp(total), size_tuple, sp_datum=SpEllipticDatum(mp, md, even_class))
             else:
                 total = mp + md + 2 * sum(size_tuple)
                 cfg = ArthurConfig(u(total), size_tuple, u_datum=UEllipticDatum(mp, md))
-            side = frozenset(int(x) for x in dbl_side.split(",")) if dbl_side else frozenset()
             value = i_standard(cfg, side)
             rows = [{"value": _frac(value), "group": arthur_L_of_s(cfg, side).display()}]
         else:  # kind == "d"

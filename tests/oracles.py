@@ -9,16 +9,21 @@ centralizer of a general twist (symbolic labels alongside signs) from the
 sign algebra alone, and the Frobenius orbits of exponents as Fractions in
 Q/Z.  The matched Levi and the test for -1 are read only by tests, and so
 is the report's ``(scenario, verdicts)`` pair of a lone ``CheckRecord``.
+The shape of an outcome in its own block order, and the least such shape
+over every order of its equal-size Levi owners, each outcome re-rendered in
+full, are the slow path of the shape cache's canonical key.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 from endokit.ambient import GEtaLevi, _eta_orientation
 from endokit.catalog import GroupType, gl, so_even, so_odd, sp, u
-from endokit.descent import gs_descended_types
+from endokit.descent import gs_descended_types, placement, placement_independent
+from endokit.indexsets import _eps_orientation
 from endokit.lattices import DiagSubgroup, IntLattice
 from endokit.rootsofunity import RootOfUnity
 
@@ -455,3 +460,85 @@ def record_pairs(records) -> list:
     """The ``(scenario, verdicts)`` pair of each ``CheckRecord``, one verdict
     each, as ``VerificationReport`` takes them."""
     return [(r.scenario, ((r.check, r.law, r.status, tuple(sorted(r.witness.items()))),)) for r in records]
+
+
+def raw_shape(outcome) -> str:
+    """The combinatorial shape of an outcome in its own block order, as one
+    string: the ``repr`` of a nested tuple whose atoms are ``int``, ``str``,
+    ``bool`` and ``None``, exponents numbered by first appearance.  Which
+    members are exponents is fixed by position: the second member of a
+    ``u`` or ``gl`` home, the third member of a placement, and a slot's
+    ``eta_rep``."""
+    classes: dict[int, int] = {}
+
+    def cls(exp: int) -> int:
+        return classes.setdefault(exp, len(classes))
+
+    def classify(place: tuple) -> tuple:
+        return place if len(place) == 2 else (place[0], place[1], cls(place[2]))
+
+    i_count = outcome.i_count
+    blocks_shape = []
+    for b in outcome.blocks:
+        home_sh = (b.home[0], cls(b.home[1])) if b.home[0] in ("u", "gl") else b.home
+        sigma_places = tuple(
+            classify(placement(outcome, b, (s,) * i_count)) for s in (1, -1)
+        )
+        indep_places = tuple(
+            classify(placement_independent(outcome, b, (s,) * i_count)) for s in (1, -1)
+        )
+        if b.home[0] == "gl":
+            or_eta = _eta_orientation(outcome, b)
+            or_eps = tuple(
+                _eps_orientation(outcome, b, (s,) * i_count, placement(outcome, b, (s,) * i_count)[2])
+                for s in (1, -1)
+            )
+        else:
+            or_eta, or_eps = 0, (0, 0)
+        blocks_shape.append(
+            (b.size, b.ext, b.origin, b.owner, b.tag, b.sbar0, home_sh,
+             sigma_places, indep_places, or_eta, or_eps)
+        )
+    slots_shape = tuple(
+        (cls(s.eta_rep), s.d, s.k_prime, s.k_dbl) for s in outcome.u_slots
+    )
+    return repr((
+        tuple(blocks_shape),
+        slots_shape,
+        (outcome.x_prime, outcome.y_prime, outcome.x_dbl, outcome.y_dbl),
+        (outcome.class_prime, outcome.class_dbl, outcome.pulled_prime, outcome.pulled_dbl),
+        i_count,
+        outcome.scenario.sizes,
+    ))
+
+
+def owner_orders(sizes):
+    """Every order of the Levi owners that keeps each size at its
+    positions, as the old owner at every new position."""
+    return [
+        order for order in itertools.permutations(range(len(sizes)))
+        if all(sizes[old] == size for old, size in zip(order, sizes))
+    ]
+
+
+def permuted_outcome(outcome, order):
+    """The outcome with its Levi owners in ``order`` (the old owner at each
+    new position): the scenario's GL multisets and the Levi blocks move with
+    their owners, each block keeps its place among its owner's, pulled
+    blocks stay last, and block ids follow the new order."""
+    new_of = {old: new for new, old in enumerate(order)}
+    levi = sorted((b for b in outcome.blocks if b.owner is not None), key=lambda b: new_of[b.owner])
+    blocks = [replace(b, owner=new_of[b.owner]) for b in levi]
+    blocks += [b for b in outcome.blocks if b.owner is None]
+    sc = outcome.scenario
+    return replace(
+        outcome,
+        scenario=replace(sc, eps_gl=tuple(sc.eps_gl[old] for old in order)),
+        blocks=tuple(replace(b, bid=i) for i, b in enumerate(blocks)),
+    )
+
+
+def brute_canonical_shape(outcome) -> str:
+    """The least ``raw_shape`` over every order of the equal-size Levi
+    owners, each permuted outcome rendered in full."""
+    return min(raw_shape(permuted_outcome(outcome, order)) for order in owner_orders(outcome.scenario.sizes))

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from endokit import campaign
 from endokit.campaign import (
     DESCENT_LAWS,
     ENTRY_LAWS,
+    FAULTS,
     IDENTITY_LAWS,
     INDEX_SET_LAWS,
     CampaignSpec,
@@ -25,9 +27,9 @@ from endokit.campaign import (
     run_campaign,
     scenario_corpus,
 )
-from endokit.descent import descend
+from endokit.descent import DescentScenario, descend
 from endokit.errors import EndokitError, NotCommensurable
-from oracles import record_pairs
+from oracles import brute_canonical_shape, owner_orders, permuted_outcome, raw_shape, record_pairs
 
 
 # sha256 of the rank-3 descent campaign's checks, json.dumps(indent=2,
@@ -35,10 +37,32 @@ from oracles import record_pairs
 CHECKS_SHA256 = {
     None: "6b8d2028b6c588e27e9587c97405e274afc97fe7bdd6bb83dfd23d0763e112a7",
     "corrupt-sbar0": "1718d239b29228d00f140e1dfa49dfc7d0e08e6c1244e66ec340cc083307046e",
+    "shift-prime-rank": "d5bc5e2cfea7bf76d25f397b23ceecea08fc0f91240ba97bb286d000f945909d",
+    "pull-levi-block": "9c31600ea144d19887f0343f97650d5a1afebdd04f8d8381adaa93c3eea09a91",
+}
+# The laws each fault fails on the rank-3 corpus, with their failing
+# scenario counts.  Each fault fails some (law, scenario) pair no other
+# fault fails.
+FAIL_COUNTS = {
+    None: {},
+    "corrupt-sbar0": {
+        "instable-map-surjective": 765,
+        "pushed-group": 1601,
+        "sign-rule-vs-descent": 2617,
+        "stable-map-bijective": 1536,
+    },
+    "shift-prime-rank": {"pushed-group": 801, "stable-map-bijective": 42},
+    "pull-levi-block": {"instable-fiber-law": 1569, "pushed-group": 1361},
 }
 
 
-@pytest.mark.parametrize("fault", [None, "corrupt-sbar0"])
+def rank3_outcomes(fault):
+    """The post-fault outcome of every scenario of the rank-3 corpus."""
+    outcomes = [descend(sc) for sc in scenario_corpus(CampaignSpec(max_rank=3))]
+    return [FAULTS[fault](o) for o in outcomes] if fault else outcomes
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
 def test_shape_cache_matches_uncached_checks(fault):
     """Every scenario of the rank-3 corpus: the campaign's records, which
     share one verdict tuple per shape, equal an uncached check, and the
@@ -48,8 +72,11 @@ def test_shape_cache_matches_uncached_checks(fault):
     checks = json.dumps(rep.body()["checks"], indent=2, sort_keys=True)
     assert hashlib.sha256(checks.encode()).hexdigest() == CHECKS_SHA256[fault]
     by_scenario = defaultdict(dict)
+    fails = defaultdict(int)
     for rec in rep.records:
         by_scenario[rec.scenario][rec.check] = rec
+        fails[rec.check] += rec.status == "fail"
+    assert {law: n for law, n in fails.items() if n} == FAIL_COUNTS[fault]
     corpus = list(scenario_corpus(spec))
     assert len(corpus) == len(by_scenario) == 3154
     assert rep.passed == (fault is None)
@@ -62,22 +89,20 @@ def test_shape_cache_matches_uncached_checks(fault):
     assert len({id(v) for v in verdicts}) == len({repr(v) for v in verdicts})
 
 
+def atoms(x):
+    """The atoms of a nested tuple, depth first."""
+    if type(x) is tuple:
+        for y in x:
+            yield from atoms(y)
+    else:
+        yield x
+
+
 @pytest.mark.parametrize("fault,shapes", [(None, 1730), ("corrupt-sbar0", 1783)])
 def test_shape_keys_are_exact_strings(fault, shapes):
-    """Each shape key is the repr of a tuple of int/str/bool/None atoms, so
-    the strings are exactly as many as the tuples they print."""
-
-    def atoms(x):
-        if type(x) is tuple:
-            for y in x:
-                yield from atoms(y)
-        else:
-            yield x
-
-    keys = set()
-    for sc in scenario_corpus(CampaignSpec(max_rank=3)):
-        outcome = descend(sc)
-        keys.add(outcome_shape(campaign._corrupt_sbar0(outcome) if fault else outcome))
+    """Each shape rendering is the repr of a tuple of int/str/bool/None
+    atoms, so the strings are exactly as many as the tuples they print."""
+    keys = {raw_shape(o) for o in rank3_outcomes(fault)}
     tuples = {ast.literal_eval(key) for key in keys}
     assert len(keys) == len(tuples) == shapes
     assert {type(a) for t in tuples for a in atoms(t)} <= {int, str, bool, type(None)}
@@ -85,9 +110,9 @@ def test_shape_keys_are_exact_strings(fault, shapes):
 
 
 # The shape partition of the rank-3 corpus: the number of distinct
-# ``outcome_shape`` keys, and the sha256 of every scenario's key in corpus
-# order, joined by newlines.  A change of exponent representation must leave
-# both alone, or shapes stop merging (or merge wrongly).
+# ``raw_shape`` renderings, and the sha256 of every scenario's rendering in
+# corpus order, joined by newlines.  A change of exponent representation
+# must leave both alone, or shapes stop merging (or merge wrongly).
 SHAPE_PARTITION = {
     None: (1730, "b241eae382b23dc89354655b8162263acfdefd19be5d6333c6da93f750917f39"),
     "corrupt-sbar0": (1783, "2a69cd8f8de3bd1da9b4687d3a4d0dada43a10ae94611d1374f52b6334910550"),
@@ -96,12 +121,120 @@ SHAPE_PARTITION = {
 
 @pytest.mark.parametrize("fault", [None, "corrupt-sbar0"])
 def test_shape_partition_is_pinned(fault):
-    keys = []
-    for sc in scenario_corpus(CampaignSpec(max_rank=3)):
-        outcome = descend(sc)
-        keys.append(outcome_shape(campaign._corrupt_sbar0(outcome) if fault else outcome))
+    keys = [raw_shape(o) for o in rank3_outcomes(fault)]
     assert len(keys) == 3154
     assert (len(set(keys)), hashlib.sha256("\n".join(keys).encode()).hexdigest()) == SHAPE_PARTITION[fault]
+
+
+# The canonical partition of the rank-3 corpus under each fault: the number
+# of distinct ``outcome_shape`` keys and the sha256 of every scenario's key
+# in corpus order, joined by newlines.
+CANONICAL_PARTITION = {
+    None: (1524, "4954974d4202ee76d1c61965fcf410d63b2c88f17d831b4113a5c520fd2d6aab"),
+    "corrupt-sbar0": (1737, "3c55601ae9d8fd162e26b5ce7ef9917868ce2c18861a05178517c60d41d65db1"),
+    "shift-prime-rank": (1508, "2d3d58717d878bc5d273d64f3bf5daa470366cb39def9f39f51c571452cd2e4a"),
+    "pull-levi-block": (1442, "64dc7cb2d09713ae00eef04b056cdcaa459274275b8246a1c951697811cef11b"),
+}
+
+
+def same_partition(a: list, b: list) -> bool:
+    """Whether two key lists split their positions into the same classes."""
+    return len(set(a)) == len(set(zip(a, b))) == len(set(b))
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+def test_canonical_key_matches_brute_force(fault):
+    """``outcome_shape`` partitions the rank-3 corpus as the least full
+    rendering over every order of equal-size owners does, and each key is
+    the rendering of one such order."""
+    outcomes = rank3_outcomes(fault)
+    keys = [outcome_shape(o) for o in outcomes]
+    assert same_partition(keys, [brute_canonical_shape(o) for o in outcomes])
+    for o, key in zip(outcomes, keys):
+        renderings = {raw_shape(permuted_outcome(o, order)) for order in owner_orders(o.scenario.sizes)}
+        assert key in renderings
+        assert len(renderings) > 1 or key == raw_shape(o)
+    assert (len(set(keys)), hashlib.sha256("\n".join(keys).encode()).hexdigest()) == CANONICAL_PARTITION[fault]
+    tuples = {ast.literal_eval(key) for key in set(keys)}
+    assert len(tuples) == len(set(keys))
+    assert {type(a) for t in tuples for a in atoms(t)} <= {int, str, bool, type(None)}
+
+
+@pytest.mark.parametrize("fault", [None, *FAULTS])
+def test_canonical_key_matches_brute_force_at_rank_4(fault):
+    """The same on every fifth rank-4 scenario with two GL blocks of equal
+    size."""
+    sample = [sc for sc in scenario_corpus(CampaignSpec(max_rank=4)) if len(set(sc.sizes)) < len(sc.sizes)][::5]
+    assert len(sample) == 1249
+    outcomes = [descend(sc) for sc in sample]
+    outcomes = [FAULTS[fault](o) for o in outcomes] if fault else outcomes
+    keys = [outcome_shape(o) for o in outcomes]
+    assert same_partition(keys, [brute_canonical_shape(o) for o in outcomes])
+    assert len(set(keys)) < len({raw_shape(o) for o in outcomes})
+
+
+def test_owner_orders_are_the_scenario_symmetry():
+    """Permuting the GL multisets of equal-size blocks of a scenario
+    permutes its outcome as ``permuted_outcome`` does, so the owner orders
+    the key ranges over are symmetries of the scenario."""
+    checked = 0
+    for sc in scenario_corpus(CampaignSpec(max_rank=3)):
+        outcome = descend(sc)
+        key = outcome_shape(outcome)
+        for order in owner_orders(sc.sizes)[1:]:
+            moved = descend(replace(sc, eps_gl=tuple(sc.eps_gl[old] for old in order)))
+            assert moved == permuted_outcome(outcome, order)
+            assert outcome_shape(moved) == key
+            checked += 1
+    assert checked == 1132
+
+
+def test_tied_owners_are_permuted():
+    """At q = 11 the fifth roots of unity are fixed, so two unit blocks at
+    1/5 and 2/5 have parts of one pattern, and only the pulled block of the
+    pair {1/5, 4/5} tells the two orders apart.  The two renderings differ,
+    the key is one, and the cache hands the second scenario the first one's
+    verdicts, which equal its own."""
+    sc = DescentScenario.from_digest("n3;b1,1;s1.0;q11;g1/5|2/5;p1,1/5,4/5;d1;spl;spl")
+    swapped = replace(sc, eps_gl=sc.eps_gl[::-1])
+    outcomes = [descend(sc), descend(swapped)]
+    assert raw_shape(outcomes[0]) != raw_shape(outcomes[1])
+    assert outcome_shape(outcomes[0]) == outcome_shape(outcomes[1]) == min(map(raw_shape, outcomes))
+    cache = ShapeCache()
+    assert check_scenario(sc, None, cache).verdicts == check_scenario(sc, None, None).verdicts
+    assert check_scenario(swapped, None, cache).verdicts == check_scenario(swapped, None, None).verdicts
+    assert len(cache) == 1
+
+
+def test_failed_hit_is_checked_afresh(monkeypatch):
+    """A failure's witness may name a position that a permuted scenario of
+    the same shape fills differently.  Here a failure witnesses the first
+    GL multiset: through the cache every scenario still gets its own."""
+    check = campaign._check_outcome
+
+    def positional(outcome):
+        verdicts = check(outcome)
+        if outcome.i_count < 2:
+            return verdicts
+        check_name, law, _, _ = verdicts[0]
+        return ((check_name, law, "fail", (("first", str(outcome.scenario.eps_gl[0])),)), *verdicts[1:])
+
+    monkeypatch.setattr(campaign, "_check_outcome", positional)
+    spec = CampaignSpec(max_rank=2, suites=("descent",))
+    got = dict(run_campaign(spec).pairs)
+    witnesses = defaultdict(set)
+    for sc in scenario_corpus(spec):
+        want = check_scenario(sc, None, None).verdicts
+        assert got[sc.digest()] == want, sc.digest()
+        witnesses[outcome_shape(descend(sc))].add(want[0][3])
+    assert max(map(len, witnesses.values())) == 2
+
+
+def test_pool_matches_one_process_at_rank_3():
+    """Shards by Levi sizes keep the canonical classes whole, and the
+    rechecked failures come out as in one process."""
+    spec = CampaignSpec(max_rank=3, suites=("descent",), fault="corrupt-sbar0")
+    assert run_campaign(spec, jobs=2).pairs == run_campaign(spec).pairs
 
 
 def test_interning_keeps_values_that_print_differently():

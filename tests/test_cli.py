@@ -112,6 +112,20 @@ class TestCoeffCommand:
         assert result.exit_code == 2
         assert "'?'" in result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--kind", "i-meta", "--m", "2", "--s0", "1,1", "--sizes", "x"],
+            ["--kind", "i-standard", "--sizes", "1", "--s0", "1,0", "--dbl-side", "x"],
+            ["--kind", "i-meta", "--m", "2", "--s0", "1,1", "--sizes", "1,1", "--signs", "+"],
+        ],
+        ids=["bad-sizes", "bad-dbl-side", "short-signs"],
+    )
+    def test_bad_block_option_is_a_usage_error(self, runner, args):
+        result = runner.invoke(main, ["coeff", *args])
+        assert result.exit_code == 2
+        assert "domain error" not in result.output
+
     def test_d_zero_on_degenerate(self, runner):
         result = runner.invoke(
             main,

@@ -10,10 +10,13 @@ temporary directory.  For every workload, each pair runs
 
 once in each tree, one after the other; which side goes first alternates
 from pair to pair, so a slow spell of the host falls on both sides alike.
-The file records the host, the revisions, every run's end-to-end metrics,
-and per metric and workload the median and quartiles of each side and the
-pairs the head side won.  Which direction is better comes from
-``BENCHMARK.json`` in the head tree.
+After a workload's pairs, one more run per side, base first, passes
+``--trace 1`` and gives that side's per-layer metrics (call counts, self
+times, shape-cache misses); its spans slow it down, so it enters no
+end-to-end figure.  The file records the host, the revisions, every run's
+end-to-end metrics, per metric and workload the median and quartiles of
+each side and the pairs the head side won, and each side's traced layers.
+Which direction is better comes from ``BENCHMARK.json`` in the head tree.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ def export(rev: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_once(tree: str, workload: str, seed: int) -> dict:
+def run_once(tree: str, workload: str, seed: int, trace: int = 0) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its result object."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "1",
-           "--trace", "0"]
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -105,17 +108,21 @@ def main() -> int:
                 print(f"{workload} pair {i + 1}/{args.pairs}: "
                       + ", ".join(f"{s} {runs[s][-1]['metrics']['verdict_s']['value']:.2f} s" for s in runs),
                       file=sys.stderr)
+            traced = {side: run_once(trees[side], workload, args.seed, trace=1) for side in ("base", "head")}
+            every_run = [*runs["base"], *runs["head"], *traced.values()]
             workloads[workload] = {
-                "correct": all(r["correct"] for side in runs.values() for r in side),
-                "failed": sum(r["failed"] for side in runs.values() for r in side),
+                "correct": all(r["correct"] for r in every_run),
+                "failed": sum(r["failed"] for r in every_run),
                 "metrics": compare(runs, better),
                 "runs": runs,
+                "layers": {side: run["metrics"] for side, run in traced.items()},
             }
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
     result = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds 1 --trace 0",
+        "layers_command": "python3 perfbench/run.py --workload W --seed S --seconds 1 --trace 1",
         "host": {
             "platform": platform.platform(),
             "python": platform.python_version(),
