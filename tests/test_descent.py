@@ -580,6 +580,7 @@ class TestMemoTables:
             lattices.diag_product,
             lattices.diag_identity_component,
             lattices.diag_index,
+            lattices._hermite_basis,
             ambient._d_squared,
             descent.orbit_of,
             descent._pair_key_exp,

@@ -31,6 +31,14 @@ class TestHermite:
     def test_zero_lattice(self):
         assert IntLattice(2, ()).generators == ()
 
+    def test_rows_of_any_sequence_type(self):
+        """The memoized basis is keyed by the rows' values: list rows and
+        bool entries give the int basis of equal tuple rows."""
+        assert IntLattice(2, [[2, 2], [0, 2]]).generators == ((2, 0), (0, 2))
+        for rows in ([(True, False)], ((1, 0),), [[True, False]]):
+            (row,) = IntLattice(2, rows).generators
+            assert row == (1, 0) and all(type(x) is int for x in row)
+
     def test_redundant_generator(self):
         assert IntLattice(2, ((1, 0), (0, 1), (1, 1))).generators == ((1, 0), (0, 1))
 
