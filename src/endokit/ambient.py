@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Hashable, Iterable, Sequence
 
 from ._intlinalg import det_int
-from .catalog import GroupType, assemble_diag, center_rows, gl, grouping_patterns, signed_torus_rows, so_even, so_odd, sp, u
+from .catalog import GroupType, diag_center, gl, grouping_patterns, so_even, so_odd, sp, u
 from .descent import Block, DescentOutcome, orbit_of, sigma
 from .errors import InvariantViolation
 from .lattices import MEMO_SIZE, DiagSubgroup
@@ -286,14 +286,9 @@ class Ambient:
     ) -> DiagSubgroup:
         """The center ``key``: one diagonal piece per ``(tag, atoms)`` part,
         and one signed torus per group, assembled once."""
-
-        def build() -> DiagSubgroup:
-            rows = [row for grp in groups for row in signed_torus_rows([(self.bc[bid], e) for bid, e in grp])]
-            for tag, atoms in parts():
-                rows += center_rows(tag, atoms)
-            return assemble_diag(self.n, rows)
-
-        return self._cached(key, build)
+        return self._cached(
+            key, lambda: diag_center(self.n, parts(), ([(self.bc[bid], e) for bid, e in grp] for grp in groups))
+        )
 
     def _levi_parts(self) -> Parts:
         return [("torus", self._coords(self.owners[i])) for i in sorted(self.owners)]

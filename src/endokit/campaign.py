@@ -978,6 +978,8 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> VerificationReport:
             raise ValueError(f"unknown suite {suite!r}")
     if spec.fault is not None and spec.fault not in FAULTS:
         raise ValueError(f"unknown fault {spec.fault!r}")
+    if any(order < 1 for order in spec.orders):
+        raise ValueError(f"eigenvalue orders must be positive, not {list(spec.orders)}")
     pairs: list[Pair] = []
     timings: dict[str, float] = {}
     for suite in spec.suites:

@@ -3,8 +3,11 @@
 A group type is an unordered product of factor descriptors.  Each factor
 owns a contiguous block of coordinates in a fixed ambient torus; the fixed
 and connected-fixed centers of the dual group are cut out blockwise as
-diagonal subgroups.  Field extensions are abstracted to a degree plus a
-ramification flag, quadratic spaces to a form-class tag.
+diagonal subgroups.  Every dual center in the package, here, on the
+descent side (``ambient``) and in the index ratios (``endoscopy``), is
+built by one function, :func:`diag_center`.  Field extensions are
+abstracted to a degree plus a ramification flag, quadratic spaces to a
+form-class tag.
 """
 
 from __future__ import annotations
@@ -210,28 +213,16 @@ def center_rows(tag: str, coords: Sequence[int]) -> list[list[tuple[int, int]]]:
     """Vanishing-character rows for one diagonal piece supported on ``coords``.
 
     ``tag``: "torus" = diagonal C^*, "mu2" = diagonal mu_2, "none" = trivial
-    subgroup (all characters vanish), "free" = full torus (no condition).
-    Rows are sparse (coord, value) pairs; :func:`assemble_diag` densifies
-    them over the caller's ambient.
+    subgroup (all characters vanish).  Rows are sparse (coord, value) pairs.
     """
-    w = len(coords)
-    rows: list[list[tuple[int, int]]] = []
-    if tag == "free" or w == 0:
-        return rows
-    if tag == "torus":
-        for a, b in zip(coords, coords[1:]):
-            rows.append([(a, 1), (b, -1)])
-        return rows
-    if tag == "mu2":
-        for a, b in zip(coords, coords[1:]):
-            rows.append([(a, 1), (b, -1)])
-        rows.append([(coords[-1], 2)])
-        return rows
     if tag == "none":
-        for c in coords:
-            rows.append([(c, 1)])
-        return rows
-    raise ValueError(f"unknown center tag {tag!r}")
+        return [[(c, 1)] for c in coords]
+    if tag not in ("torus", "mu2"):
+        raise ValueError(f"unknown center tag {tag!r}")
+    rows = [[(a, 1), (b, -1)] for a, b in zip(coords, coords[1:])]
+    if tag == "mu2" and coords:
+        rows.append([(coords[-1], 2)])
+    return rows
 
 
 def signed_torus_rows(blocks: Sequence[tuple[Sequence[int], int]]) -> list[list[tuple[int, int]]]:
@@ -239,22 +230,25 @@ def signed_torus_rows(blocks: Sequence[tuple[Sequence[int], int]]) -> list[list[
 
     ``blocks`` is a sequence of (coords, exponent) with exponent +-1.
     """
-    rows: list[list[tuple[int, int]]] = []
-    anchors = []
-    for coords, e in blocks:
-        if not coords:
-            continue
-        for a, b in zip(coords, coords[1:]):
-            rows.append([(a, 1), (b, -1)])
-        anchors.append((coords[0], e))
-    for (c1, e1), (c2, e2) in zip(anchors, anchors[1:]):
-        rows.append([(c1, 1), (c2, -e1 * e2)])
-    return rows
+    blocks = [(coords, e) for coords, e in blocks if coords]
+    rows = [[(a, 1), (b, -1)] for coords, _ in blocks for a, b in zip(coords, coords[1:])]
+    return rows + [[(c1[0], 1), (c2[0], -e1 * e2)] for (c1, e1), (c2, e2) in zip(blocks, blocks[1:])]
 
 
-def assemble_diag(ambient: int, sparse_rows: Iterable[Sequence[tuple[int, int]]]) -> DiagSubgroup:
+def diag_center(
+    ambient: int,
+    parts: Iterable[tuple[str, Sequence[int]]],
+    groups: Iterable[Sequence[tuple[Sequence[int], int]]] = (),
+) -> DiagSubgroup:
+    """The diagonal subgroup of the rank-``ambient`` torus with one signed
+    torus per group (:func:`signed_torus_rows`) and one diagonal piece per
+    ``(tag, coords)`` part (:func:`center_rows`).  Coordinates outside every
+    group and part carry no condition."""
+    sparse = [row for grp in groups for row in signed_torus_rows(grp)]
+    for tag, coords in parts:
+        sparse += center_rows(tag, coords)
     dense = []
-    for row in sparse_rows:
+    for row in sparse:
         v = [0] * ambient
         for c, val in row:
             v[c] += val
@@ -263,19 +257,14 @@ def assemble_diag(ambient: int, sparse_rows: Iterable[Sequence[tuple[int, int]]]
 
 
 def _dual_centers(
-    ambient: int, parts: Iterable[tuple[FactorType, Sequence[int]]]
+    ambient: int, parts: Sequence[tuple[FactorType, Sequence[int]]]
 ) -> tuple[DiagSubgroup, DiagSubgroup]:
     """Fixed and connected-fixed center of the dual group of factors placed
     on coordinate parts, each by its ``center_tags``.  A part may be
     scattered (a parent factor spanning several sub-blocks); coordinates
     outside every part carry no condition for either subgroup."""
-    fixed_rows: list[Sequence[tuple[int, int]]] = []
-    fixed0_rows: list[Sequence[tuple[int, int]]] = []
-    for f, coords in parts:
-        t_fixed, t_fixed0 = f.center_tags
-        fixed_rows.extend(center_rows(t_fixed, coords))
-        fixed0_rows.extend(center_rows(t_fixed0, coords))
-    return assemble_diag(ambient, fixed_rows), assemble_diag(ambient, fixed0_rows)
+    fixed, fixed0 = ([(f.center_tags[k], coords) for f, coords in parts] for k in (0, 1))
+    return diag_center(ambient, fixed), diag_center(ambient, fixed0)
 
 
 def dual_center(g: GroupType, layout: CoordinateLayout) -> tuple[DiagSubgroup, DiagSubgroup]:

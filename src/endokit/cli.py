@@ -116,6 +116,14 @@ def _parse_rationals(text: str) -> list[Fraction]:
     return [Fraction(x.strip()) for x in text.split(",") if x.strip()]
 
 
+def _parse_vectors(text: str, option: str) -> list[list[Fraction]]:
+    """Semicolon-separated rational vectors for ``option``; anything else is a usage error."""
+    try:
+        return [_parse_rationals(part) for part in text.split(";") if part.strip()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.UsageError(f"bad {option} {text!r}: {exc}")
+
+
 @click.group()
 def main() -> None:
     """Exact enumeration and verification of endoscopic-data combinatorics."""
@@ -255,6 +263,10 @@ def coeff(kind, n, sizes, m, s0, signs, ambient, even_class, dbl_side, dim, am, 
     sign_tuple = _parse_signs(signs) if signs else None
     if sign_tuple is not None and len(sign_tuple) != len(size_tuple):
         raise click.UsageError(f"--signs has {len(sign_tuple)} entries for {len(size_tuple)} --sizes blocks")
+    if kind == "d":
+        if dim is None or am is None or al is None or ar is None:
+            raise click.UsageError("--dim, --am, --al, --ar are required")
+        vectors = [_parse_vectors(text, option) for text, option in ((am, "--am"), (al, "--al"), (ar, "--ar"))]
     try:
         if kind == "c-nonstandard":
             if n is None:
@@ -280,18 +292,7 @@ def coeff(kind, n, sizes, m, s0, signs, ambient, even_class, dbl_side, dim, am, 
             value = i_standard(cfg, side)
             rows = [{"value": _frac(value), "group": arthur_L_of_s(cfg, side).display()}]
         else:  # kind == "d"
-            if dim is None or am is None or al is None or ar is None:
-                raise click.UsageError("--dim, --am, --al, --ar are required")
-
-            def space(text: str) -> QSubspace:
-                vecs = []
-                for part in text.split(";"):
-                    part = part.strip()
-                    if part:
-                        vecs.append(_parse_rationals(part))
-                return QSubspace.span(dim, vecs)
-
-            dsq = d_coefficient(space(am), space(al), space(ar), QForm.standard(dim))
+            dsq = d_coefficient(*(QSubspace.span(dim, vecs) for vecs in vectors), QForm.standard(dim))
             rows = [{"d_squared": _frac(dsq.value)}]
     except (EndokitError, ValueError) as exc:
         click.echo(f"domain error: {exc}", err=True)

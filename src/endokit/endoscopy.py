@@ -20,8 +20,7 @@ from .catalog import (
     GroupType,
     LeviDatum,
     a_dimension,
-    assemble_diag,
-    center_rows,
+    diag_center,
     gl,
     so_even,
     so_odd,
@@ -344,21 +343,9 @@ def correspond_lie(y_prime: EigenMultiset, y_dblprime: EigenMultiset) -> EigenMu
 # index coefficients
 
 
-def _meta_layout(levi: LeviDatum, datum: EllipticDatumMeta) -> tuple[int, list, list, list]:
-    """Shared coordinates for the Levi's endoscopic group.
-
-    Returns (ambient, gl_coords per block, prime side coords, dbl side coords).
-    """
-    pos = 0
-    gl_coords = []
-    for size in levi.sizes:
-        gl_coords.append(tuple(range(pos, pos + size)))
-        pos += size
-    prime = tuple(range(pos, pos + datum.m_prime))
-    pos += datum.m_prime
-    dbl = tuple(range(pos, pos + datum.m_dblprime))
-    pos += datum.m_dblprime
-    return pos, gl_coords, list(prime), list(dbl)
+def _runs(widths: Sequence[int]) -> list[tuple[int, ...]]:
+    """Consecutive coordinate runs of the given widths, from coordinate 0."""
+    return [tuple(range(end - w, end)) for w, end in zip(widths, itertools.accumulate(widths))]
 
 
 def i_meta(levi: LeviDatum, s0: EllipticDatumMeta, s: SElement) -> Fraction:
@@ -370,24 +357,14 @@ def i_meta(levi: LeviDatum, s0: EllipticDatumMeta, s: SElement) -> Fraction:
     """
     if s.levi != levi or s.base != s0:
         raise InvariantViolation("the datum does not lie over the given base")
-    ambient, gl_coords, prime, dbl = _meta_layout(levi, s0)
-    rows_m = []
-    rows_meta = []
-    for coords in gl_coords:
-        rows_m.extend(center_rows("torus", coords))
-        rows_meta.extend(center_rows("torus", coords))
-    rows_m.extend(center_rows("mu2", tuple(prime)))
-    rows_m.extend(center_rows("mu2", tuple(dbl)))
-    rows_meta.extend(center_rows("none", tuple(prime + dbl)))
-    z_m = assemble_diag(ambient, rows_m)
-    z_meta = assemble_diag(ambient, rows_meta)
-    num = diag_index(z_m, z_meta)
-
-    prime_all = sorted(prime + [c for i in s.i_prime for c in gl_coords[i]])
-    dbl_all = sorted(dbl + [c for i in s.i_dblprime for c in gl_coords[i]])
-    rows_g = center_rows("mu2", tuple(prime_all)) + center_rows("mu2", tuple(dbl_all))
-    z_g = assemble_diag(ambient, rows_g)
-    den = diag_index(z_g, DiagSubgroup.trivial(ambient))
+    *blocks, prime, dbl = _runs([*levi.sizes, s0.m_prime, s0.m_dblprime])
+    tori = [("torus", c) for c in blocks]
+    n = levi.rank
+    z_m = diag_center(n, tori + [("mu2", prime), ("mu2", dbl)])
+    num = diag_index(z_m, diag_center(n, tori + [("none", prime + dbl)]))
+    prime_all = tuple(sorted(prime + tuple(c for i in s.i_prime for c in blocks[i])))
+    dbl_all = tuple(sorted(dbl + tuple(c for i in s.i_dblprime for c in blocks[i])))
+    den = diag_index(diag_center(n, [("mu2", prime_all), ("mu2", dbl_all)]), DiagSubgroup.trivial(n))
     return num / den
 
 
@@ -576,60 +553,25 @@ def e_set_arthur(config: ArthurConfig) -> tuple[frozenset[int], ...]:
     return tuple(out)
 
 
-def _arthur_layout(config: ArthurConfig) -> tuple[int, list[tuple[int, ...]], tuple[int, ...], tuple[int, ...]]:
-    """(ambient rank, block coords, prime core coords, second core coords)."""
-    pos = 0
-    blocks = []
-    if config.ambient.kind == "sp":
-        widths = list(config.block_sizes)
-        w_p, w_d = config.sp_datum.m_prime, config.sp_datum.even_rank
-    else:
-        d = config.ambient.degree
-        widths = [2 * d * s for s in config.block_sizes]
-        w_p, w_d = 2 * d * config.u_datum.m_prime, 2 * d * config.u_datum.m_dblprime
-    for w in widths:
-        blocks.append(tuple(range(pos, pos + w)))
-        pos += w
-    prime = tuple(range(pos, pos + w_p))
-    pos += w_p
-    dbl = tuple(range(pos, pos + w_d))
-    pos += w_d
-    return pos, blocks, prime, dbl
-
-
 def i_standard(config: ArthurConfig, dbl_side: frozenset[int]) -> Fraction:
-    """Index ratio of the Levi-ascent construction for one side choice."""
-    ambient, blocks, prime, dbl = _arthur_layout(config)
-    rows_rexc: list = []
-    rows_r: list = []
-    for c in blocks:
-        rows_rexc.extend(center_rows("torus", c))
-        rows_r.extend(center_rows("torus", c))
-    if config.ambient.kind == "sp":
-        rows_rexc.extend(center_rows("none", prime))        # Sp part: trivial center
-        rows_rexc.extend(center_rows("mu2", dbl))
-        rows_r.extend(center_rows("none", prime + dbl))
-    else:
-        rows_rexc.extend(center_rows("mu2", prime))
-        rows_rexc.extend(center_rows("mu2", dbl))
-        rows_r.extend(center_rows("mu2", prime + dbl))
-    z_rexc = assemble_diag(ambient, rows_rexc)
-    z_r = assemble_diag(ambient, rows_r)
-    num = diag_index(z_rexc, z_r)
+    """Index ratio of the Levi-ascent construction for one side choice.
 
+    The symplectic and unitary ambients differ only in the center of the
+    core's first part (trivial on Sp, diagonal mu_2 on U) and in the width
+    of one unit of rank (1 on Sp, 2d on U).
+    """
+    if config.ambient.kind == "sp":
+        core, unit, parts = "none", 1, (config.sp_datum.m_prime, config.sp_datum.even_rank)
+    else:
+        core, unit, parts = "mu2", 2 * config.ambient.degree, (config.u_datum.m_prime, config.u_datum.m_dblprime)
+    widths = [unit * r for r in (*config.block_sizes, *parts)]
+    *blocks, prime, dbl = _runs(widths)
+    n = sum(widths)
+
+    def index(tori: list, p: tuple[int, ...], d: tuple[int, ...]) -> Fraction:
+        return diag_index(diag_center(n, tori + [(core, p), ("mu2", d)]), diag_center(n, tori + [(core, p + d)]))
+
+    num = index([("torus", c) for c in blocks], prime, dbl)
     p_all = tuple(sorted(prime + tuple(c for i, blk in enumerate(blocks) if i not in dbl_side for c in blk)))
     d_all = tuple(sorted(dbl + tuple(c for i, blk in enumerate(blocks) if i in dbl_side for c in blk)))
-    rows_ls: list = []
-    rows_l: list = []
-    if config.ambient.kind == "sp":
-        rows_ls.extend(center_rows("none", p_all))
-        rows_ls.extend(center_rows("mu2", d_all))
-        rows_l.extend(center_rows("none", p_all + d_all))
-    else:
-        rows_ls.extend(center_rows("mu2", p_all))
-        rows_ls.extend(center_rows("mu2", d_all))
-        rows_l.extend(center_rows("mu2", p_all + d_all))
-    z_ls = assemble_diag(ambient, rows_ls)
-    z_l = assemble_diag(ambient, rows_l)
-    den = diag_index(z_ls, z_l)
-    return num / den
+    return num / index([], p_all, d_all)

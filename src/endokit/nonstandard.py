@@ -68,13 +68,7 @@ class NonStdTriple:
 
     @property
     def x2(self) -> IntLattice:
-        rows = [tuple(2 if c == 0 else 0 for c in range(self.n))]
-        for k in range(self.n - 1):
-            v = [0] * self.n
-            v[k] = 1
-            v[k + 1] = -1
-            rows.append(tuple(v))
-        return IntLattice(self.n, tuple(rows))
+        return IntLattice(self.n, tuple(_spin_core_rows(0, self.n, self.n)))
 
     def coroots1(self) -> tuple[tuple[int, ...], ...]:
         """Short/long coroot set of the symplectic side: +-e_i +- e_j, +-e_i."""

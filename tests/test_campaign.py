@@ -339,6 +339,8 @@ def test_unknown_fault_and_suite_are_refused():
         run_campaign(CampaignSpec(max_rank=2, suites=("descent",), fault="corrupt-sbar"))
     with pytest.raises(ValueError, match="unknown suite 'decent'"):
         run_campaign(CampaignSpec(max_rank=2, suites=("decent",)))
+    with pytest.raises(ValueError, match="eigenvalue orders must be positive"):
+        run_campaign(CampaignSpec(max_rank=1, orders=(0,), suites=("descent",)))
 
 
 def test_shards_keep_each_levi_shape_in_one_worker():

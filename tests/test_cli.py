@@ -144,6 +144,13 @@ class TestCoeffCommand:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("am", ["x", "1/0"], ids=["not-a-rational", "zero-denominator"])
+    def test_bad_vector_is_a_usage_error(self, runner, am):
+        result = runner.invoke(main, ["coeff", "--kind", "d", "--dim", "2", "--am", am, "--al", "1,0", "--ar", "1,0;0,1"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # not an uncaught exception
+        assert "domain error" not in result.output
+
 
 class TestCorrespondCommand:
     def test_multiplicative(self, runner):
@@ -265,6 +272,11 @@ class TestVerifyCommand:
             payload.pop("timings")
             outs.append(json.dumps(payload, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_non_positive_order_is_a_usage_error(self, runner):
+        result = runner.invoke(main, ["verify", "--max-rank", "1", "--orders", "0", "--suites", "descent"])
+        assert result.exit_code == 2
+        assert "eigenvalue orders must be positive" in result.output
 
     def test_env_var_default_dir(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("ENDOKIT_OUT_DIR", str(tmp_path))

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from collections import Counter
 from fractions import Fraction as F
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from endokit.catalog import GroupType, LeviDatum, gl, so_even, so_odd, sp, u
+from endokit.catalog import GroupType, LeviDatum, gl, levi_data, so_even, so_odd, sp, u
 from endokit.endoscopy import (
     ArthurConfig,
     EigenMultiset,
@@ -205,6 +207,56 @@ class TestIMeta:
                     assert v > 0
                     num_den = v.numerator * v.denominator
                     assert num_den & (num_den - 1) == 0  # power of two
+
+
+def _side_choices(k):
+    return [frozenset(c) for r in range(k + 1) for c in itertools.combinations(range(k), r)]
+
+
+def _i_meta_sweep():
+    """i_meta over every (Levi, base datum, sign vector) of rank <= 5."""
+    for n in range(6):
+        for levi in levi_data(n):
+            for s0 in elliptic_data_meta(levi.remainder):
+                for s in e_set(levi, s0):
+                    yield i_meta(levi, s0, s)
+
+
+def _i_standard_sp_sweep():
+    """i_standard over every symplectic config of rank <= 5, every side choice."""
+    for n in range(1, 6):
+        for levi in levi_data(n):
+            for datum in sp_elliptic_data(levi.remainder):
+                cfg = ArthurConfig(sp(n), levi.sizes, sp_datum=datum)
+                for side in _side_choices(levi.block_count):
+                    yield i_standard(cfg, side)
+
+
+def _i_standard_u_sweep():
+    """i_standard over every unitary config of rank <= 6, at degree 1 and 2,
+    ramified and not, every side choice."""
+    for n, degree, ramified in itertools.product(range(1, 7), (1, 2), (False, True)):
+        for levi in levi_data(n // 2):
+            for datum in u_elliptic_data(n - 2 * sum(levi.sizes)):
+                cfg = ArthurConfig(u(n, degree, ramified), levi.sizes, u_datum=datum)
+                for side in _side_choices(levi.block_count):
+                    yield i_standard(cfg, side)
+
+
+# Count and sha256 of each sweep's values, one ``str`` per line, in sweep
+# order.  They pin the index ratios across any rewrite of their centers.
+INDEX_SWEEPS = {
+    "i_meta": (_i_meta_sweep, 371, "3f7b5f0cf24920bad9e20b74813442b7038066df56081b6277684e826cd83a25"),
+    "i_standard-sp": (_i_standard_sp_sweep, 571, "93ed795819e01d761358363769aa6268fae55070c60a18cbd2d1b975fa247dd2"),
+    "i_standard-u": (_i_standard_u_sweep, 284, "446aeb3774384feda64e2ffbd7e2fff8eb986cc3b49f9a7d7dd32e907490fa81"),
+}
+
+
+@pytest.mark.parametrize("name", INDEX_SWEEPS)
+def test_index_ratio_sweep_is_pinned(name):
+    sweep, count, digest = INDEX_SWEEPS[name]
+    values = [str(v) for v in sweep()]
+    assert (len(values), hashlib.sha256("\n".join(values).encode()).hexdigest()) == (count, digest)
 
 
 class TestClassicalData:

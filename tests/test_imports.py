@@ -1,4 +1,4 @@
-"""Every module-level import in the package and the tests is used, and
+"""Every module-level import in the package, the tests and the tools is used, and
 every definition in the package is read somewhere.
 
 AST scans instead of a linter.  A name bound by a top-level ``import`` or
@@ -20,7 +20,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "endokit").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
-MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+MODULES = [p for p in SOURCES + sorted((ROOT / "tools").glob("*.py")) if p.name != "__init__.py"]
 PLAIN_DECORATORS = {"property", "staticmethod", "classmethod"}
 
 
