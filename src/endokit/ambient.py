@@ -27,7 +27,7 @@ Group = tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _d_squared(
+def d_squared(
     w: tuple[int, ...], rows_m: tuple[tuple[int, ...], ...], rows_l: tuple[tuple[int, ...], ...]
 ) -> DSquared:
     """Squared volume distortion of the block-coordinate spaces spanned by
@@ -37,7 +37,7 @@ def _d_squared(
     return d_coefficient(QSubspace(nb, rows_m), QSubspace(nb, rows_l), QSubspace.full(nb), form)
 
 
-def _normalize_group(pairs: Iterable[tuple[int, int]]) -> Group:
+def normalize_group(pairs: Iterable[tuple[int, int]]) -> Group:
     ordered = tuple(sorted(pairs))
     if ordered and ordered[0][1] == -1:
         ordered = tuple((b, -e) for b, e in ordered)
@@ -58,21 +58,21 @@ class GEtaLevi:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "groups", tuple(sorted(_normalize_group(g) for g in self.groups))
+            self, "groups", tuple(sorted(normalize_group(g) for g in self.groups))
         )
 
     def grouped_bids(self) -> frozenset[int]:
         return frozenset(b for g in self.groups for b, _ in g)
 
 
-def _eta_orientation(outcome: DescentOutcome, b: Block) -> int:
+def eta_orientation(outcome: DescentOutcome, b: Block) -> int:
     """Orientation of a block inside its inverse-pair ambient factor: +1 when
     its exponent lies in the orbit of the home's key."""
     sc = outcome.scenario
     return 1 if b.eta_exp in orbit_of(b.home[1], sc.modulus, sc.q) else -1
 
 
-def _home_groupings(
+def home_groupings(
     blocks: Sequence[Block], orient: Callable[[Block], int] | None
 ) -> list[tuple[tuple[Group, ...], tuple[Block, ...]]]:
     """Every grouping of one home's blocks into Levi groups, with the blocks
@@ -98,8 +98,8 @@ def enumerate_levis(outcome: DescentOutcome) -> tuple[GEtaLevi, ...]:
     """All Levis of the big centralizer containing the matched Levi."""
     per_home = []
     for home in outcome.homes:
-        orient = (lambda b: _eta_orientation(outcome, b)) if home[0] == "gl" else None
-        per_home.append([groups for groups, _ in _home_groupings(outcome.home_blocks(home), orient)])
+        orient = (lambda b: eta_orientation(outcome, b)) if home[0] == "gl" else None
+        per_home.append([groups for groups, _ in home_groupings(outcome.home_blocks(home), orient)])
     return tuple(GEtaLevi(tuple(itertools.chain(*combo))) for combo in itertools.product(*per_home))
 
 
@@ -107,7 +107,7 @@ def top_levi(outcome: DescentOutcome) -> GEtaLevi:
     """The big centralizer itself as a Levi: pair factors fully grouped."""
     return GEtaLevi(
         tuple(
-            tuple((b.bid, _eta_orientation(outcome, b)) for b in outcome.home_blocks(home))
+            tuple((b.bid, eta_orientation(outcome, b)) for b in outcome.home_blocks(home))
             for home in outcome.homes
             if home[0] == "gl"
         )
@@ -185,7 +185,7 @@ class Ambient:
     def d_g(self, levi: GEtaLevi) -> DSquared:
         return self._cached(
             ("d_g", levi),
-            lambda: _d_squared(
+            lambda: d_squared(
                 self.weights, self._m_rows_block(), tuple(self._block_group_row(g) for g in levi.groups)
             ),
         )

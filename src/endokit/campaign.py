@@ -1,43 +1,29 @@
-"""Verification campaigns: deterministic corpora, checks, reports.
+"""Verification campaigns: the suites, the descent checks and the pool.
 
 A campaign sweeps bounded families (Levi data, eigenvalue multisets over a
 fixed order set, Frobenius surrogates) and runs every identity check the
 library exposes, recording one record per check and scenario.  All values
 in reports are exact strings; a fixed seed makes randomized suites and the
-whole report reproducible byte for byte.
+whole report reproducible byte for byte.  The descent scenarios come from
+``corpus``, their shape keys from ``shape``, and ``report`` holds and writes
+the records.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import random
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
-from math import gcd, lcm
-from operator import itemgetter
-from typing import TextIO
 
 from . import catalog
-from .ambient import Ambient, _eta_orientation
+from ._intlinalg import snf_with_transforms
+from .ambient import Ambient
 from .catalog import GroupType, LeviDatum, gl, levi_data, levi_enumerate, layout_for, so_even, so_odd, sp, u
-from .descent import (
-    Block,
-    DescentOutcome,
-    DescentScenario,
-    compatibility_check,
-    descend,
-    is_self_inverse,
-    orbit_inverse,
-    orbit_of,
-    pair_class_key,
-    placement,
-    placement_independent,
-)
+from .corpus import scenario_corpus
+from .descent import DescentOutcome, DescentScenario, compatibility_check, descend, q_violation
 from .enatural import enumerate_E_natural, pushed_group_check, verify_identities, verify_index_sets
 from .endoscopy import (
     EigenMultiset,
@@ -49,7 +35,6 @@ from .endoscopy import (
     i_meta,
 )
 from .errors import EndokitError
-from .indexsets import _eps_orientation
 from .lattices import (
     DiagSubgroup,
     arthur_product_check,
@@ -60,58 +45,8 @@ from .lattices import (
     lattice_index,
 )
 from .nonstandard import NSLeviPair, build_triple, c_nonstandard_closed, c_nonstandard_raw
-from .rootsofunity import RootOfUnity
-
-SUITES = ("counts", "nonstandard", "torsion", "arthur-product", "diag-oracle", "goldens", "descent")
-
-
-@dataclass(frozen=True)
-class CampaignSpec:
-    """Bounds of one verification campaign."""
-
-    max_rank: int = 4
-    orders: tuple[int, ...] = (1, 2, 3, 4, 5, 8)
-    q_values: tuple[int, ...] = (3, 5, 7)
-    suites: tuple[str, ...] = SUITES
-    seed: int = 0
-    torsion_samples: int = 1000
-    fault: str | None = None  # testing hook: a key of ``FAULTS``
-
-    def complexity_note(self) -> str:
-        return (
-            f"sweep bounded by rank {self.max_rank}, eigenvalue orders "
-            f"{sorted(set(self.orders))}, surrogates {sorted(set(self.q_values))}; "
-            "scenario count grows with the number of stable multisets per rank, "
-            "each costing one Levi-grouping sweep over at most rank-many blocks"
-        )
-
-
-@dataclass
-class CheckRecord:
-    check: str
-    law: str
-    scenario: str
-    status: str
-    witness: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "law": self.law,
-            "scenario": self.scenario,
-            "status": self.status,
-            "witness": {k: str(v) for k, v in sorted(self.witness.items())},
-        }
-
-
-# One check's verdict on a scenario shape: (check, law, status, witness),
-# the witness as its (key, value) items sorted by key.
-Verdict = tuple[str, str, str, tuple]
-# One record as the report writes it: (check, law, scenario, status, witness
-# items sorted by key).
-Row = tuple[str, str, str, str, Sequence]
-# What every suite appends: a scenario and its verdicts.
-Pair = tuple[str, tuple[Verdict, ...]]
+from .report import Pair, ScenarioRecords, Verdict, VerificationReport
+from .shape import ShapeCache, outcome_shape
 
 # The checks of one descent outcome and their laws, in the order of every
 # verdict tuple that ``_check_outcome`` returns.
@@ -135,276 +70,6 @@ DESCENT_LAWS = {
 BUILD_CHECK = ("scenario-build", "scenario validates and descends")
 
 
-class ScenarioRecords(Sequence):
-    """The descent records of one scenario, built on access from its digest
-    and its shape's verdict tuple; each record gets a witness dict of its
-    own."""
-
-    __slots__ = ("digest", "verdicts")
-
-    def __init__(self, digest: str, verdicts: tuple[Verdict, ...]):
-        self.digest = digest
-        self.verdicts = verdicts
-
-    def __len__(self) -> int:
-        return len(self.verdicts)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        check, law, status, witness = self.verdicts[i]
-        return CheckRecord(check, law, self.digest, status, dict(witness))
-
-
-_enc = json.encoder.encode_basestring_ascii
-_CSV_FIELDS = ("check", "law", "scenario", "status", "witness")
-
-
-def _witness_pairs(witness: Sequence) -> list[str]:
-    """``"key": "value"`` JSON members of a witness's sorted items, each value
-    as its ``str``; the members of ``CheckRecord.to_dict()["witness"]``."""
-    return [f"{_enc(k)}: {_enc(str(v))}" for k, v in witness]
-
-
-def _json_record(check: str, law: str, scenario: str, status: str, witness: Sequence) -> str:
-    """One element of the report's ``checks`` list, laid out as
-    ``json.dumps(..., indent=2, sort_keys=True)`` lays it out at that depth."""
-    pairs = _witness_pairs(witness)
-    witness = "{\n        " + ",\n        ".join(pairs) + "\n      }" if pairs else "{}"
-    return (
-        f'    {{\n      "check": {_enc(check)},\n      "law": {_enc(law)},\n'
-        f'      "scenario": {_enc(scenario)},\n      "status": {_enc(status)},\n'
-        f'      "witness": {witness}\n    }}'
-    )
-
-
-class _Records:
-    """``VerificationReport.records``: every record, in report order, as a
-    fresh ``CheckRecord``."""
-
-    def __init__(self, report: "VerificationReport"):
-        self._report = report
-
-    def __len__(self) -> int:
-        return self._report.record_count
-
-    def __iter__(self) -> Iterator[CheckRecord]:
-        for check, law, scenario, status, witness in self._report.rows():
-            yield CheckRecord(check, law, scenario, status, dict(witness))
-
-
-class VerificationReport:
-    """A campaign's records, as the ``(scenario, verdicts)`` pairs its suites
-    appended, sorted by scenario once.  A descent scenario's ``verdicts`` is
-    its shape's tuple from ``_check_outcome``, interned by a ``ShapeCache``
-    so that each distinct tuple is held once, or a lone scenario-build
-    failure; a record of any other suite is a pair of its own with one
-    verdict.  ``_at`` maps each check name to its position in every distinct
-    tuple that holds it, keyed by the tuple's ``id``."""
-
-    def __init__(self, spec: CampaignSpec, pairs: Iterable[Pair] = (), timings: dict[str, float] | None = None):
-        self.spec = spec
-        self.pairs = sorted(pairs, key=itemgetter(0))
-        self.timings = {} if timings is None else timings
-        distinct = {id(v): v for _, v in self.pairs}
-        self._at: dict[str, dict[int, int]] = {}
-        for key, verdicts in distinct.items():
-            for i, (check, *_) in enumerate(verdicts):
-                self._at.setdefault(check, {})[key] = i
-        self.record_count = sum(len(v) for _, v in self.pairs)
-        self.passed = all(status == "pass" for v in distinct.values() for _, _, status, _ in v)
-
-    @property
-    def records(self) -> _Records:
-        return _Records(self)
-
-    def failures(self) -> list[CheckRecord]:
-        if self.passed:
-            return []
-        return [r for r in self.records if r.status != "pass"]
-
-    def rows(self) -> Iterator[Row]:
-        """Every record as a ``Row``, in report order, by check name and then
-        scenario: one pass over the pairs per check name."""
-        for check in sorted(self._at):
-            at = self._at[check]
-            for scenario, verdicts in self.pairs:
-                i = at.get(id(verdicts))
-                if i is not None:
-                    _, law, status, witness = verdicts[i]
-                    yield check, law, scenario, status, witness
-
-    def _meta(self) -> dict:
-        return {
-            "max_rank": self.spec.max_rank,
-            "orders": list(self.spec.orders),
-            "q_values": list(self.spec.q_values),
-            "suites": list(self.spec.suites),
-            "seed": self.spec.seed,
-            "complexity": self.spec.complexity_note(),
-            "record_count": self.record_count,
-            "all_passed": self.passed,
-        }
-
-    def body(self) -> dict:
-        """Deterministic report body (timings excluded)."""
-        return {"meta": self._meta(), "checks": [r.to_dict() for r in self.records]}
-
-    def write(self, fh: TextIO, fmt: str) -> None:
-        """Write the report to ``fh`` one record at a time.
-
-        ``json`` is byte for byte ``json.dumps(payload, indent=2,
-        sort_keys=True)`` plus a newline, where ``payload`` is ``body()`` with
-        the timings rounded to milliseconds; only the small ``meta`` and
-        ``timings`` tail goes through ``json.dumps``.  ``csv`` has a header and
-        one row per record, the witness as compact sorted-key JSON.  ``text``
-        has one ``[status] check scenario`` line per record, and an empty
-        report is one empty line.  No format holds more than one record's
-        output in memory.
-        """
-        if fmt == "json":
-            fh.write('{\n  "checks": [')
-            sep = "\n"
-            for row in self.rows():
-                fh.write(sep)
-                fh.write(_json_record(*row))
-                sep = ",\n"
-            fh.write("\n  ],\n" if self.record_count else "],\n")
-            timings = {k: round(v, 3) for k, v in self.timings.items()}
-            tail = json.dumps({"meta": self._meta(), "timings": timings}, indent=2, sort_keys=True)
-            fh.write(tail[2:])  # the members after the opening "{\n"
-            fh.write("\n")
-        elif fmt == "csv":
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_FIELDS)
-            for check, law, scenario, status, witness in self.rows():
-                writer.writerow((check, law, scenario, status, "{" + ", ".join(_witness_pairs(witness)) + "}"))
-        elif fmt == "text":
-            for check, _, scenario, status, _ in self.rows():
-                fh.write(f"[{status}] {check} {scenario}\n")
-            if not self.record_count:
-                fh.write("\n")
-        else:
-            raise ValueError(f"unknown report format {fmt!r}")
-
-
-# ---------------------------------------------------------------------------
-# deterministic scenario corpus
-
-
-def _orbit_inventory(orders: Sequence[int], L: int, q: int) -> list[tuple[int, int]]:
-    """All Frobenius orbits of allowed exponents coprime to q: (rep, size),
-    on the exponent residues mod ``L`` of ``endokit.descent``."""
-    exps = set()
-    for order in sorted(set(orders)):
-        if gcd(order, q) == 1:
-            exps.update(j * (L // order) for j in range(order) if gcd(j, order) == 1)
-    out = []
-    seen: set[int] = set()
-    for r in sorted(exps):
-        if r in seen:
-            continue
-        orb = orbit_of(r, L, q)
-        seen.update(orb)
-        out.append((min(orb), len(orb)))
-    return out
-
-
-def _orbit_multisets(inventory: Sequence[tuple], size: int) -> Iterator[tuple[tuple, ...]]:
-    """Multisets of ``(item, weight)`` inventory entries with total weight
-    ``size``: ((item, mult), ...), each multiplicity positive."""
-
-    def rec(idx: int, rest: int, acc: tuple) -> Iterator[tuple]:
-        if rest == 0:
-            yield acc
-            return
-        if idx == len(inventory):
-            return
-        rep, w = inventory[idx]
-        for mult in range(rest // w, -1, -1):
-            yield from rec(idx + 1, rest - mult * w, acc + ((rep, mult),) if mult else acc)
-
-    yield from rec(0, size, ())
-
-
-def _expand(orbits: Iterable[tuple[int, int]], L: int, q: int) -> EigenMultiset:
-    entries = []
-    for rep, mult in orbits:
-        for r in sorted(orbit_of(rep, L, q)):
-            entries.extend([RootOfUnity.of(r, L)] * mult)
-    return EigenMultiset.of(entries)
-
-
-def _orthogonal_multisets(
-    inventory: Sequence[tuple[int, int]], L: int, q: int, size: int
-) -> Iterator[EigenMultiset]:
-    """Inversion-closed multisets with +1 of odd multiplicity, given size."""
-    items: list[tuple[tuple[int, ...], int]] = []  # (reps, weight)
-    seen_pairs: set[int] = set()
-    for rep, w in inventory:
-        if rep in (0, L // 2):
-            continue
-        orb = orbit_of(rep, L, q)
-        if is_self_inverse(orb, L):
-            items.append(((rep,), w))
-        else:
-            key = pair_class_key(orb, L)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            items.append(((rep, min(orbit_inverse(orb, L))), 2 * w))
-    for plus in range(1, size + 1, 2):
-        for minus in range(0, size - plus + 1, 2):
-            for combo in _orbit_multisets(items, size - plus - minus):
-                orbits = [(0, plus)]
-                if minus:
-                    orbits.append((L // 2, minus))
-                orbits.extend((r, mult) for reps, mult in combo for r in reps)
-                yield _expand(orbits, L, q)
-
-
-def _gl_multisets(inventory: Sequence[tuple[int, int]], L: int, q: int, size: int) -> Iterator[EigenMultiset]:
-    for combo in _orbit_multisets(inventory, size):
-        yield _expand(combo, L, q)
-
-
-def scenario_corpus(spec: CampaignSpec) -> Iterator[DescentScenario]:
-    """Every validated scenario within the campaign bounds, under the
-    unramified hypothesis; deterministic lexicographic order.  Exponents are
-    built as residues mod the lcm of 2 and every allowed order."""
-    L = lcm(2, *spec.orders)
-    for n in range(1, spec.max_rank + 1):
-        for datum in levi_data(n):
-            sizes, m = datum.sizes, datum.remainder
-            for q in sorted(set(spec.q_values)):
-                inventory = _orbit_inventory(spec.orders, L, q)
-                gl_options = [list(_gl_multisets(inventory, L, q, s)) for s in sizes]
-                for mp in range(m + 1):
-                    md = m - mp
-                    primes = list(_orthogonal_multisets(inventory, L, q, 2 * mp + 1))
-                    dbls = list(_orthogonal_multisets(inventory, L, q, 2 * md + 1))
-                    for eps_gl in itertools.product(*gl_options) if gl_options else [()]:
-                        for eps_p in primes:
-                            minus_p = sum(1 for x in eps_p.entries if x.is_minus_one)
-                            tags_p = ["split"] if minus_p == 0 else ["split", "unram_nonsplit"]
-                            for eps_d in dbls:
-                                minus_d = sum(1 for x in eps_d.entries if x.is_minus_one)
-                                tags_d = ["split"] if minus_d == 0 else ["split", "unram_nonsplit"]
-                                for tag_p in tags_p:
-                                    for tag_d in tags_d:
-                                        yield DescentScenario(
-                                            n=n,
-                                            sizes=sizes,
-                                            s0=EllipticDatumMeta(mp, md),
-                                            q=q,
-                                            eps_gl=tuple(eps_gl),
-                                            eps_prime=eps_p,
-                                            eps_dblprime=eps_d,
-                                            form_class_prime=tag_p,
-                                            form_class_dblprime=tag_d,
-                                        )
-
-
 # ---------------------------------------------------------------------------
 # finite-group element oracle (independent of the lattice layer internals)
 
@@ -419,8 +84,6 @@ class FiniteDiagOracle:
 
     @staticmethod
     def of(d: DiagSubgroup) -> "FiniteDiagOracle":
-        from ._intlinalg import snf_with_transforms
-
         n = d.ambient_rank
         rows = d.vanishing_chars.generators
         if len(rows) != n:
@@ -683,153 +346,6 @@ FAULTS = {
 }
 
 
-class _Hole:
-    """Prints as an empty ``str.format`` field: a place left open in the
-    ``repr`` of a shape part."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "{}"
-
-
-_HOLE = _Hole()
-# The ``repr`` of a shape part with holes, by the part: a campaign meets
-# only a few hundred distinct parts.  Equal parts print alike, as each
-# member of a part has one type (a flag is always a bool).
-_text = cache(repr)
-
-
-def _block_part(outcome: DescentOutcome, b: Block) -> tuple[str, tuple[int, ...]]:
-    """One block's part of the shape key, with its owner and exponents left
-    open: a format string whose fields take the owner (a Levi block's only)
-    and then the class of each exponent of the tuple, in that order.  The
-    exponents are the second member of a ``u`` or ``gl`` home and the third
-    member of a placement; exponents are ints too, so no type test could
-    tell them apart, and their positions fix them."""
-    exps: list[int] = []
-
-    def hole(exp: int) -> _Hole:
-        exps.append(exp)
-        return _HOLE
-
-    twists = [(s,) * outcome.i_count for s in (1, -1)]
-    home = (b.home[0], hole(b.home[1])) if b.home[0] in ("u", "gl") else b.home
-    sigma_places = [placement(outcome, b, t) for t in twists]
-    open_sigma = tuple(p if len(p) == 2 else (p[0], p[1], hole(p[2])) for p in sigma_places)
-    open_indep = tuple(
-        p if len(p) == 2 else (p[0], p[1], hole(p[2])) for p in (placement_independent(outcome, b, t) for t in twists)
-    )
-    if b.home[0] == "gl":
-        or_eta = _eta_orientation(outcome, b)
-        or_eps = tuple(_eps_orientation(outcome, b, t, p[2]) for t, p in zip(twists, sigma_places))
-    else:
-        or_eta, or_eps = 0, (0, 0)
-    owner = None if b.owner is None else _HOLE
-    part = (b.size, b.ext, b.origin, owner, b.tag, b.sbar0, home, open_sigma, open_indep, or_eta, or_eps)
-    return _text(part), tuple(exps)
-
-
-def _owner_orders(sizes: tuple[int, ...], invariant) -> Iterator[tuple[int, ...]]:
-    """The candidate orders of the Levi owners, each as the old owner at
-    every new position: owners move only among positions of their size,
-    sorted there by ``invariant(owner)``, and owners of equal invariant take
-    those positions in every order."""
-    order = list(range(len(sizes)))
-    runs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for size in sorted(set(sizes)):
-        positions = [i for i, s in enumerate(sizes) if s == size]
-        if len(positions) < 2:
-            continue
-        ranks = {i: invariant(i) for i in positions}
-        ranked = sorted(positions, key=ranks.__getitem__)
-        for _, run in itertools.groupby(zip(positions, ranked), key=lambda pair: ranks[pair[1]]):
-            at, owners = zip(*run)
-            for position, owner in zip(at, owners):
-                order[position] = owner
-            if len(at) > 1:
-                runs.append((at, owners))
-    for choice in itertools.product(*(itertools.permutations(owners) for _, owners in runs)):
-        for (at, _), owners in zip(runs, choice):
-            for position, owner in zip(at, owners):
-                order[position] = owner
-        yield tuple(order)
-
-
-def outcome_shape(outcome: DescentOutcome) -> str:
-    """Canonical combinatorial shape of an outcome, as one string.
-
-    Two outcomes of equal shape differ only by which exact roots of unity
-    realize the same orbit pattern, and by the order of equal-size Levi
-    blocks, which the Weyl group of the Levi permutes.  Every identity
-    check consumes only the data below (block structure, placements,
-    orientations, slot incidences), and relabeling the owners of equal-size
-    blocks renames the twist coordinates, so equal shapes give identical
-    check results up to the positions that witnesses name.
-
-    A rendering of the outcome is the ``repr`` of a nested tuple whose atoms
-    are ``int``, ``str``, ``bool`` and ``None``: its blocks in owner order
-    (pulled blocks last), its slots, side ranks and classes, the owner count
-    and the Levi sizes; exponents are numbered by first appearance, so a
-    rendering is exact and injective.  The key is the least rendering over
-    the orders of the Levi owners that keep every size in place.  Each
-    block's part is built once with its owner and exponents open; owners
-    are ranked by an invariant that names neither owners nor exponents (the
-    parts of their blocks, with exponents numbered within the owner), and
-    only owners whose invariants tie are permuted (canonical-form isomorph
-    rejection, as in McKay, "Isomorph-free exhaustive generation", 1998).
-    """
-    sizes = outcome.scenario.sizes
-    by_owner: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in sizes]
-    pulled: list[tuple[str, tuple[int, ...]]] = []
-    for b in outcome.blocks:
-        (pulled if b.owner is None else by_owner[b.owner]).append(_block_part(outcome, b))
-    frame = _text((
-        (_HOLE,) * len(outcome.blocks),
-        tuple((_HOLE, s.d, s.k_prime, s.k_dbl) for s in outcome.u_slots),
-        (outcome.x_prime, outcome.y_prime, outcome.x_dbl, outcome.y_dbl),
-        (outcome.class_prime, outcome.class_dbl, outcome.pulled_prime, outcome.pulled_dbl),
-        len(sizes),
-        sizes,
-    ))
-    slot_exps = [s.eta_rep for s in outcome.u_slots]
-
-    def invariant(owner: int) -> tuple:
-        local: dict[int, int] = {}
-        parts = by_owner[owner]
-        numbers = tuple(local.setdefault(e, len(local)) for _, exps in parts for e in exps)
-        return tuple(text for text, _ in parts), numbers
-
-    def render(order: tuple[int, ...]) -> str:
-        classes: dict[int, int] = {}
-        texts = [
-            text.format(new, *[classes.setdefault(e, len(classes)) for e in exps])
-            for new, old in enumerate(order)
-            for text, exps in by_owner[old]
-        ]
-        texts += [text.format(*[classes.setdefault(e, len(classes)) for e in exps]) for text, exps in pulled]
-        return frame.format(*texts, *[classes.setdefault(e, len(classes)) for e in slot_exps])
-
-    return min(map(render, _owner_orders(sizes, invariant)))
-
-
-class ShapeCache(dict):
-    """Verdict tuples by ``outcome_shape`` key, each distinct tuple held once.
-
-    A campaign checks tens of thousands of shapes but meets only a few dozen
-    distinct verdict tuples, so ``intern`` hands every equal tuple out as one
-    object.  It keys them by ``repr``, which keeps apart values that compare
-    equal but that the report writes differently (``True`` and ``1``,
-    ``Fraction(1)`` and ``1``)."""
-
-    def __init__(self):
-        super().__init__()
-        self._interned: dict[str, tuple[Verdict, ...]] = {}
-
-    def intern(self, verdicts: tuple[Verdict, ...]) -> tuple[Verdict, ...]:
-        return self._interned.setdefault(repr(verdicts), verdicts)
-
-
 def check_scenario(
     sc: DescentScenario, fault: str | None = None, shape_cache: ShapeCache | None = None
 ) -> ScenarioRecords:
@@ -963,27 +479,59 @@ def _check_bucket_worker(args: tuple[list[DescentScenario], str | None]) -> list
     return list(_scenario_pairs(*args))
 
 
+# Every suite's runner by name, in the default order of ``SUITES``; each appends
+# its pairs to the list it is given, and the descent runner takes a pool size too.
+SUITE_RUNNERS = {
+    "counts": run_counts_suite,
+    "nonstandard": run_nonstandard_suite,
+    "torsion": run_torsion_suite,
+    "arthur-product": run_arthur_product_suite,
+    "diag-oracle": run_diag_oracle_suite,
+    "goldens": run_goldens_suite,
+    "descent": run_descent_suite,
+}
+SUITES = tuple(SUITE_RUNNERS)
+
+
+@dataclass(frozen=True)
+class CampaignSpec:
+    """Bounds of one verification campaign."""
+
+    max_rank: int = 4
+    orders: tuple[int, ...] = (1, 2, 3, 4, 5, 8)
+    q_values: tuple[int, ...] = (3, 5, 7)
+    suites: tuple[str, ...] = SUITES
+    seed: int = 0
+    torsion_samples: int = 1000
+    fault: str | None = None  # testing hook: a key of ``FAULTS``
+
+    def complexity_note(self) -> str:
+        return (
+            f"sweep bounded by rank {self.max_rank}, eigenvalue orders "
+            f"{sorted(set(self.orders))}, surrogates {sorted(set(self.q_values))}; "
+            "scenario count grows with the number of stable multisets per rank, "
+            "each costing one Levi-grouping sweep over at most rank-many blocks"
+        )
+
+
 def run_campaign(spec: CampaignSpec, jobs: int = 1) -> VerificationReport:
-    suite_runners = {
-        "counts": run_counts_suite,
-        "nonstandard": run_nonstandard_suite,
-        "torsion": run_torsion_suite,
-        "arthur-product": run_arthur_product_suite,
-        "diag-oracle": run_diag_oracle_suite,
-        "goldens": run_goldens_suite,
-        "descent": lambda spec, records: run_descent_suite(spec, records, jobs),
-    }
     for suite in spec.suites:
-        if suite not in suite_runners:
+        if suite not in SUITE_RUNNERS:
             raise ValueError(f"unknown suite {suite!r}")
     if spec.fault is not None and spec.fault not in FAULTS:
         raise ValueError(f"unknown fault {spec.fault!r}")
     if any(order < 1 for order in spec.orders):
         raise ValueError(f"eigenvalue orders must be positive, not {list(spec.orders)}")
+    for q in spec.q_values:
+        if bad_q := q_violation(q):
+            raise ValueError(bad_q)
     pairs: list[Pair] = []
     timings: dict[str, float] = {}
     for suite in spec.suites:
         t0 = time.time()
-        suite_runners[suite](spec, pairs)
+        if suite == "descent":
+            run_descent_suite(spec, pairs, jobs)
+        else:
+            SUITE_RUNNERS[suite](spec, pairs)
         timings[suite] = time.time() - t0
     return VerificationReport(spec, pairs, timings)

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .catalog import FORM_CLASSES, FactorType, GroupType, bar, gl, so_even, so_odd, sp, u
@@ -78,7 +78,7 @@ def _pair_key_exp(r: int, L: int, q: int) -> int:
 
 
 @cache
-def _neg_rep_exp(r: int, L: int, q: int) -> int:
+def neg_rep_exp(r: int, L: int, q: int) -> int:
     return min(orbit_negate(orbit_of(r, L, q), L))
 
 
@@ -237,18 +237,19 @@ class DescentScenario:
 def _is_prime_power(q: int) -> bool:
     if q < 2:
         return False
-    p = None
-    x = q
-    for cand in range(2, q + 1):
-        if cand * cand > x and p is None:
-            p = x
-            break
-        if x % cand == 0:
-            p = cand
-            break
-    while x % p == 0:
-        x //= p
-    return x == 1
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def q_violation(q: int) -> str | None:
+    """Why no scenario can have residue field size ``q``, or None."""
+    if not _is_prime_power(q):
+        return f"q={q} is not a prime power"
+    if q % 2 == 0:
+        return "q must be odd: the class correspondence negates eigenvalues"
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -285,10 +286,8 @@ def validate_scenario(sc: DescentScenario) -> DescentScenario:
         bad.append("block sizes exceed the rank")
     if sc.s0.total != max(sc.m, 0):
         bad.append("the datum does not split the symplectic remainder")
-    if not _is_prime_power(sc.q):
-        bad.append(f"q={sc.q} is not a prime power")
-    elif sc.q % 2 == 0:
-        bad.append("q must be odd: the class correspondence negates eigenvalues")
+    if bad_q := q_violation(sc.q):
+        bad.append(bad_q)
     if len(sc.eps_gl) != len(sc.sizes):
         bad.append("one eigenvalue multiset per GL block is required")
     L = sc.modulus
@@ -616,7 +615,7 @@ def descend(sc: DescentScenario) -> DescentOutcome:
             home=("gl", rep), sbar0=1, eta_exp=rep, eps_exp=rep,
         )
     for rep in sorted(pairs_d):
-        eta_rep = _neg_rep_exp(rep, L, q)
+        eta_rep = neg_rep_exp(rep, L, q)
         add_block(
             size=pairs_d[rep], ext=len(orbit_of(rep, L, q)), origin="pair_dbl", owner=None, tag="U",
             home=("gl", _pair_key_exp(eta_rep, L, q)), sbar0=-1,
@@ -638,7 +637,7 @@ def descend(sc: DescentScenario) -> DescentOutcome:
     # unitary core slots, keyed by the self-inverse orbit on the big side
     slot_reps: set[int] = set(u_p)
     for rep in u_d:
-        slot_reps.add(_neg_rep_exp(rep, L, q))
+        slot_reps.add(neg_rep_exp(rep, L, q))
     for b in blocks:
         if b.home[0] == "u":
             slot_reps.add(b.home[1])
@@ -647,7 +646,7 @@ def descend(sc: DescentScenario) -> DescentOutcome:
             eta_rep=rep,
             d=len(orbit_of(rep, L, q)) // 2,
             k_prime=u_p.get(rep, 0),
-            k_dbl=u_d.get(_neg_rep_exp(rep, L, q), 0),
+            k_dbl=u_d.get(neg_rep_exp(rep, L, q), 0),
         )
         for rep in sorted(slot_reps)
     ]
@@ -726,7 +725,7 @@ def placement(outcome: DescentOutcome, block: Block, t: Sequence[int]) -> tuple:
     sc = outcome.scenario
     L = sc.modulus
     if kind == "u":
-        return ("d", "u", _neg_rep_exp(key, L, sc.q))
+        return ("d", "u", neg_rep_exp(key, L, sc.q))
     # gl home
     return ("d", "gl", _pair_key_exp((key + L // 2) % L, L, sc.q))
 

@@ -14,15 +14,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .ambient import Ambient, GEtaLevi, Group, _d_squared, _eta_orientation, _home_groupings, _normalize_group
-from .descent import Block, DescentOutcome, _neg_rep_exp, orbit_of, placement, placement_independent, sigma
+from .ambient import Ambient, GEtaLevi, Group, d_squared, eta_orientation, home_groupings, normalize_group
+from .descent import Block, DescentOutcome, neg_rep_exp, orbit_of, placement, placement_independent, sigma
 from .errors import InvariantViolation
 from .qspaces import DSquared
 
 HomeKey = tuple
 
 
-def _eps_orientation(outcome: DescentOutcome, b: Block, t: Sequence[int], home_key: int) -> int:
+def eps_orientation(outcome: DescentOutcome, b: Block, t: Sequence[int], home_key: int) -> int:
     sc = outcome.scenario
     L = sc.modulus
     exp = (b.eps_exp + L // 2) % L if b.origin == "levi" and t[b.owner] == -1 else b.eps_exp
@@ -68,7 +68,7 @@ def gs_homes(outcome: DescentOutcome, t: Sequence[int]) -> dict[HomeKey, tuple[B
         if slot.k_prime:
             homes.setdefault(("p", "u", slot.eta_rep), [])
         if slot.k_dbl:
-            neg = _neg_rep_exp(slot.eta_rep, outcome.scenario.modulus, outcome.scenario.q)
+            neg = neg_rep_exp(slot.eta_rep, outcome.scenario.modulus, outcome.scenario.q)
             homes.setdefault(("d", "u", neg), [])
     return {k: tuple(v) for k, v in homes.items()}
 
@@ -86,7 +86,7 @@ class EStElement:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "groups", tuple(sorted((key, _normalize_group(g)) for key, g in self.groups))
+            self, "groups", tuple(sorted((key, normalize_group(g)) for key, g in self.groups))
         )
 
     def grouped_bids(self) -> frozenset[int]:
@@ -115,11 +115,11 @@ def enumerate_e_st(outcome: DescentOutcome, amb: Ambient, t: Sequence[int]) -> I
     homes = gs_homes(outcome, t)
     per_home = []
     for key in sorted(homes):
-        orient = (lambda b: _eps_orientation(outcome, b, t, key[2])) if key[1] == "gl" else None
+        orient = (lambda b: eps_orientation(outcome, b, t, key[2])) if key[1] == "gl" else None
         per_home.append(
             [
                 tuple([(key, g) for g in groups])
-                for groups, absorbed in _home_groupings(homes[key], orient)
+                for groups, absorbed in home_groupings(homes[key], orient)
                 if not _degenerate_even(outcome, key, absorbed)
             ]
         )
@@ -146,7 +146,7 @@ def _leps_rows_block(outcome: DescentOutcome, amb: Ambient, elem: EStElement) ->
 
 
 def d_gs_side(outcome: DescentOutcome, amb: Ambient, elem: EStElement) -> DSquared:
-    return _d_squared(amb.weights, amb._m_rows_block(), tuple(_leps_rows_block(outcome, amb, elem)))
+    return d_squared(amb.weights, amb._m_rows_block(), tuple(_leps_rows_block(outcome, amb, elem)))
 
 
 def pushforward_levi(
@@ -162,7 +162,7 @@ def pushforward_levi(
             raise InvariantViolation("pushforward needs sign-pure groups")
         key = placement(outcome, b0, t)
         if key[1] == "gl":
-            grp = tuple((bid, _eps_orientation(outcome, amb.block[bid], t, key[2])) for bid, _ in grp)
+            grp = tuple((bid, eps_orientation(outcome, amb.block[bid], t, key[2])) for bid, _ in grp)
         groups.append((key, grp))
     return EStElement(tuple(t), tuple(groups))
 
@@ -173,7 +173,7 @@ def section_levi(outcome: DescentOutcome, amb: Ambient, elem: EStElement) -> GEt
     groups: list[Group] = []
     for _, grp in elem.groups:
         if amb.block[grp[0][0]].home[0] == "gl":
-            grp = tuple((bid, _eta_orientation(outcome, amb.block[bid])) for bid, _ in grp)
+            grp = tuple((bid, eta_orientation(outcome, amb.block[bid])) for bid, _ in grp)
         groups.append(grp)
     return GEtaLevi(tuple(groups))
 

@@ -20,10 +20,10 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 
-from endokit.ambient import GEtaLevi, _eta_orientation
+from endokit.ambient import GEtaLevi, eta_orientation
 from endokit.catalog import GroupType, gl, so_even, so_odd, sp, u
 from endokit.descent import gs_descended_types, placement, placement_independent
-from endokit.indexsets import _eps_orientation
+from endokit.indexsets import eps_orientation
 from endokit.lattices import DiagSubgroup, IntLattice
 from endokit.rootsofunity import RootOfUnity
 
@@ -369,7 +369,7 @@ def arthur_general_types(outcome, amb, assignment: Assignment) -> tuple[GroupTyp
         if home[0] == "gl":  # orientation matters for labeled values
             for b in blocks:
                 lab, sgn = _assign_value(b, assignment)
-                key = (lab, sgn) if lab is None else (lab, sgn, _eta_orientation(outcome, b))
+                key = (lab, sgn) if lab is None else (lab, sgn, eta_orientation(outcome, b))
                 classes[key] = classes.get(key, 0) + b.size
             factors += [gl(classes[key], blocks[0].ext) for key in sorted(classes, key=str)]
             continue
@@ -488,9 +488,9 @@ def raw_shape(outcome) -> str:
             classify(placement_independent(outcome, b, (s,) * i_count)) for s in (1, -1)
         )
         if b.home[0] == "gl":
-            or_eta = _eta_orientation(outcome, b)
+            or_eta = eta_orientation(outcome, b)
             or_eps = tuple(
-                _eps_orientation(outcome, b, (s,) * i_count, placement(outcome, b, (s,) * i_count)[2])
+                eps_orientation(outcome, b, (s,) * i_count, placement(outcome, b, (s,) * i_count)[2])
                 for s in (1, -1)
             )
         else:

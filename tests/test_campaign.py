@@ -19,16 +19,14 @@ from endokit.campaign import (
     IDENTITY_LAWS,
     INDEX_SET_LAWS,
     CampaignSpec,
-    CheckRecord,
-    ShapeCache,
-    VerificationReport,
     check_scenario,
-    outcome_shape,
     run_campaign,
-    scenario_corpus,
 )
+from endokit.corpus import scenario_corpus
 from endokit.descent import DescentScenario, descend
 from endokit.errors import EndokitError, NotCommensurable
+from endokit.report import CheckRecord, VerificationReport
+from endokit.shape import ShapeCache, outcome_shape
 from oracles import brute_canonical_shape, owner_orders, permuted_outcome, raw_shape, record_pairs
 
 
@@ -341,6 +339,10 @@ def test_unknown_fault_and_suite_are_refused():
         run_campaign(CampaignSpec(max_rank=2, suites=("decent",)))
     with pytest.raises(ValueError, match="eigenvalue orders must be positive"):
         run_campaign(CampaignSpec(max_rank=1, orders=(0,), suites=("descent",)))
+    # a q that no scenario can have, instead of one scenario-build failure per scenario
+    for q, message in ((1, "q=1 is not"), (0, "q=0 is not"), (-3, "q=-3 is not"), (2, "must be odd")):
+        with pytest.raises(ValueError, match=message):
+            run_campaign(CampaignSpec(max_rank=1, q_values=(q,), suites=("descent",)))
 
 
 def test_shards_keep_each_levi_shape_in_one_worker():

@@ -10,7 +10,6 @@ from endokit.ambient import Ambient, GEtaLevi, atom_layout, enumerate_levis, top
 from endokit.catalog import GroupType, gl, so_even, so_odd, sp, u
 from endokit.descent import (
     DescentScenario,
-    _neg_rep_exp,
     _pair_key_exp,
     _self_inverse_exp,
     centralizer_type,
@@ -20,6 +19,7 @@ from endokit.descent import (
     gs_descended_types,
     hypothesis_flags,
     is_self_inverse,
+    neg_rep_exp,
     orbit_inverse,
     orbit_negate,
     orbit_of,
@@ -160,7 +160,7 @@ class TestResidueKernel:
                     assert F(pair_class_key(orb, L), L) == oracles.pair_class_key(want)
                     assert is_self_inverse(orb, L) == (want == inverse)
                     assert F(_pair_key_exp(r, L, q), L) == oracles.pair_class_key(want)
-                    assert F(_neg_rep_exp(r, L, q), L) == min(oracles.orbit_negate(want))
+                    assert F(neg_rep_exp(r, L, q), L) == min(oracles.orbit_negate(want))
                     assert _self_inverse_exp(r, L, q) == (want == inverse)
                     checked += 1
         assert checked >= 3 * 16
@@ -581,10 +581,10 @@ class TestMemoTables:
             lattices.diag_identity_component,
             lattices.diag_index,
             lattices._hermite_basis,
-            ambient._d_squared,
+            ambient.d_squared,
             descent.orbit_of,
             descent._pair_key_exp,
-            descent._neg_rep_exp,
+            descent.neg_rep_exp,
             descent._self_inverse_exp,
             descent._MultisetProfile,
             descent._gl_block_residues,
@@ -594,7 +594,8 @@ class TestMemoTables:
 
     @pytest.mark.parametrize("fault", [None, "corrupt-sbar0"])
     def test_cold_caches_reproduce_warm_records(self, fault):
-        from endokit.campaign import CampaignSpec, _check_outcome, _corrupt_sbar0, scenario_corpus
+        from endokit.campaign import CampaignSpec, _check_outcome, _corrupt_sbar0
+        from endokit.corpus import scenario_corpus
 
         outcomes = []
         for sc in scenario_corpus(CampaignSpec(max_rank=3, suites=("descent",))):

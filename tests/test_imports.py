@@ -1,5 +1,6 @@
-"""Every module-level import in the package, the tests and the tools is used, and
-every definition in the package is read somewhere.
+"""Every module-level import in the package, the tests and the tools is used,
+every definition in the package is read somewhere, and no module of the
+package imports a private name of another.
 
 AST scans instead of a linter.  A name bound by a top-level ``import`` or
 ``from ... import`` must be read somewhere else in the same module;
@@ -9,7 +10,10 @@ classes, must be read by name (a name, an attribute or an import, such as
 an ``__init__`` re-export) somewhere in the package or the tests.  Dunders
 are exempt, and so are functions under a decorator other than
 ``property``, ``staticmethod`` and ``classmethod`` (click commands,
-memo tables), which the decorator registers or wraps.
+memo tables), which the decorator registers or wraps.  A ``from .x import
+_y`` at any depth of a package module is a private name crossing a module
+boundary; a private module itself (``from . import _intlinalg``) may be
+imported.
 """
 
 import ast
@@ -108,3 +112,31 @@ def test_every_definition_is_read():
         f"{p.name}: {d}" for p in PACKAGE for d in definitions(p.read_text()) if d.split(".")[-1] not in read
     ]
     assert unread == []
+
+
+def private_imports(source: str) -> list[str]:
+    """``module._name`` for every private name a relative import takes from
+    a sibling module, at any depth."""
+    return [
+        f"{node.module}.{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_scan_flags_a_private_import():
+    source = (
+        "from . import _intlinalg\n"
+        "from ._intlinalg import det_int\n"
+        "from .ambient import Ambient, _helper\n"
+        "def f():\n"
+        "    from .descent import _deep\n"
+    )
+    assert private_imports(source) == ["ambient._helper (line 3)", "descent._deep (line 5)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_private_name_crosses_a_module(path):
+    assert private_imports(path.read_text()) == []

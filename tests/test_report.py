@@ -16,8 +16,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endokit.campaign import CampaignSpec, CheckRecord, VerificationReport, run_campaign
+from endokit.campaign import CampaignSpec, run_campaign
 from endokit.cli import main
+from endokit.report import CheckRecord, VerificationReport
 from oracles import record_pairs
 
 FORMATS = ("json", "csv", "text")
