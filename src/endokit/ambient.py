@@ -186,7 +186,7 @@ class Ambient:
         return self._cached(
             ("d_g", levi),
             lambda: d_squared(
-                self.weights, self._m_rows_block(), tuple(self._block_group_row(g) for g in levi.groups)
+                self.weights, self.m_rows_block(), tuple(self.block_group_row(g) for g in levi.groups)
             ),
         )
 
@@ -199,15 +199,15 @@ class Ambient:
     def weights(self) -> tuple[int, ...]:
         return self._cached("weights", lambda: tuple(b.width for b in self.outcome.blocks))
 
-    def _block_group_row(self, grp: Group) -> tuple[int, ...]:
+    def block_group_row(self, grp: Group) -> tuple[int, ...]:
         exps = dict(grp)
         return tuple(exps.get(b.bid, 0) for b in self.outcome.blocks)
 
-    def _m_rows_block(self) -> tuple[tuple[int, ...], ...]:
+    def m_rows_block(self) -> tuple[tuple[int, ...], ...]:
         return self._cached(
             "m_rows_block",
             lambda: tuple(
-                self._block_group_row(tuple((bid, 1) for bid in self.owners[i])) for i in sorted(self.owners)
+                self.block_group_row(tuple((bid, 1) for bid in self.owners[i])) for i in sorted(self.owners)
             ),
         )
 
@@ -216,8 +216,8 @@ class Ambient:
 
     def transverse(self, groups: Iterable[Group]) -> bool:
         """Whether the split-center spaces sum directly to the full one."""
-        g_rows = [self._block_group_row(g) for g in groups]
-        m_rows = self._m_rows_block()
+        g_rows = [self.block_group_row(g) for g in groups]
+        m_rows = self.m_rows_block()
         if len(m_rows) + len(g_rows) != len(self.outcome.blocks):
             return False
         return det_int(list(m_rows) + g_rows) != 0
@@ -277,7 +277,7 @@ class Ambient:
     def twisted_core(self, levi: GEtaLevi, home: tuple, t: Sequence[int]) -> CoreDatum:
         """``core_datum`` of the Levi's core at ``home`` under the signs of twist ``t``."""
         absorbed = self.absorbed(levi, home)
-        return self.core_datum(home, absorbed, [sigma(self.outcome, b, t) for b in absorbed])
+        return self.core_datum(home, absorbed, [sigma(b, t) for b in absorbed])
 
     # -- centers ------------------------------------------------------------------
 
@@ -370,7 +370,7 @@ class Ambient:
 
         def parts() -> Parts:
             for grp in levi.groups:
-                if len({sigma(self.outcome, self.block[bid], t) for bid, _ in grp}) != 1:
+                if len({sigma(self.block[bid], t) for bid, _ in grp}) != 1:
                     raise InvariantViolation("pushed center needs sign-pure groups")
             out: Parts = []
             for home in self.outcome.homes:
@@ -397,7 +397,7 @@ class Ambient:
             for bid, _ in grp:
                 b = self.block[bid]
                 exts.add(b.ext)
-                s = sigma(self.outcome, b, t)
+                s = sigma(b, t)
                 by_sign[s] = by_sign.get(s, 0) + b.size
             if len(exts) != 1:
                 raise InvariantViolation("a group must live over a single extension")

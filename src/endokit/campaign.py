@@ -413,12 +413,12 @@ def _check_outcome(outcome: DescentOutcome) -> tuple[Verdict, ...]:
     amb = guarded(("pushed-group", *ENTRY_LAWS), lambda: Ambient(outcome))
     entries = None
     if amb is not None:
-        pushed = guarded(("pushed-group",), lambda: [pushed_group_check(outcome, amb, t) for t in outcome.twists])
+        pushed = guarded(("pushed-group",), lambda: [pushed_group_check(amb, t) for t in outcome.twists])
         if pushed is not None:
             ok["pushed-group"] = all(pushed)
-        entries = guarded(ENTRY_LAWS, lambda: enumerate_E_natural(outcome, amb))
+        entries = guarded(ENTRY_LAWS, lambda: enumerate_E_natural(amb))
     if entries is not None:
-        identities = guarded(IDENTITY_LAWS, lambda: [verify_identities(outcome, amb, entry) for entry in entries])
+        identities = guarded(IDENTITY_LAWS, lambda: [verify_identities(amb, entry) for entry in entries])
         for entry, checks in zip(entries, identities or ()):
             for key, good in checks.items():
                 ok[key] = ok.get(key, True) and good
@@ -429,7 +429,7 @@ def _check_outcome(outcome: DescentOutcome) -> tuple[Verdict, ...]:
                         "c_inst": entry.c_inst_rat,
                         "c_st": entry.c_st_rat,
                     }
-        ok.update(guarded(INDEX_SET_LAWS, lambda: verify_index_sets(outcome, amb, entries)) or {})
+        ok.update(guarded(INDEX_SET_LAWS, lambda: verify_index_sets(amb, entries)) or {})
         witness["entry-count"] = {"e_natural": len(entries)}
     return tuple(
         (check, law, "pass" if ok.get(check, True) else "fail", tuple(sorted(witness.get(check, {}).items())))

@@ -46,10 +46,6 @@ EXIT_IDENTITY_FAILURE = 1
 EXIT_DOMAIN_ERROR = 3
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def _emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
     if fmt == "json":
         text = json.dumps(rows, indent=2, sort_keys=True)
@@ -275,13 +271,13 @@ def coeff(kind, n, sizes, m, s0, signs, ambient, even_class, dbl_side, dim, am, 
             if datum.rank != n:
                 raise click.UsageError("sizes plus core must fill the rank")
             value = c_nonstandard_raw(build_triple(n), NSLeviPair(datum))
-            rows = [{"value": _frac(value)}]
+            rows = [{"value": sc_str(value)}]
         elif kind == "i-meta":
             datum = LeviDatum(size_tuple, m)
             base = EllipticDatumMeta(mp, md)
             sign_tuple = sign_tuple or tuple([1] * datum.block_count)
             value = i_meta(datum, base, SElement(datum, base, sign_tuple))
-            rows = [{"value": _frac(value)}]
+            rows = [{"value": sc_str(value)}]
         elif kind == "i-standard":
             if ambient == "sp":
                 total = mp + md + sum(size_tuple)
@@ -290,10 +286,10 @@ def coeff(kind, n, sizes, m, s0, signs, ambient, even_class, dbl_side, dim, am, 
                 total = mp + md + 2 * sum(size_tuple)
                 cfg = ArthurConfig(u(total), size_tuple, u_datum=UEllipticDatum(mp, md))
             value = i_standard(cfg, side)
-            rows = [{"value": _frac(value), "group": arthur_L_of_s(cfg, side).display()}]
+            rows = [{"value": sc_str(value), "group": arthur_L_of_s(cfg, side).display()}]
         else:  # kind == "d"
             dsq = d_coefficient(*(QSubspace.span(dim, vecs) for vecs in vectors), QForm.standard(dim))
-            rows = [{"d_squared": _frac(dsq.value)}]
+            rows = [{"d_squared": sc_str(dsq.value)}]
     except (EndokitError, ValueError) as exc:
         click.echo(f"domain error: {exc}", err=True)
         sys.exit(EXIT_DOMAIN_ERROR)
@@ -319,11 +315,11 @@ def descend_cmd(scenario_path: str | None, digest: str | None, fmt: str, out: st
         amb = Ambient(outcome)
         twist_laws = {
             "sign-rule-vs-descent": all(compatibility_check(outcome, t) for t in outcome.twists),
-            "pushed-group": all(pushed_group_check(outcome, amb, t) for t in outcome.twists),
+            "pushed-group": all(pushed_group_check(amb, t) for t in outcome.twists),
         }
-        entries = enumerate_E_natural(outcome, amb)
-        checks = [verify_identities(outcome, amb, entry) for entry in entries]
-        idx = verify_index_sets(outcome, amb, entries)
+        entries = enumerate_E_natural(amb)
+        checks = [verify_identities(amb, entry) for entry in entries]
+        idx = verify_index_sets(amb, entries)
     except (EndokitError, KeyError, ValueError) as exc:
         click.echo(f"domain error: {exc}", err=True)
         sys.exit(EXIT_DOMAIN_ERROR)
@@ -345,8 +341,8 @@ def descend_cmd(scenario_path: str | None, digest: str | None, fmt: str, out: st
             {
                 "object": f"entry t={','.join('+' if x == 1 else '-' for x in entry.t) or '-'}",
                 "detail": (
-                    f"instable {_frac(entry.c_inst_rat)} stable {_frac(entry.c_st_rat)} "
-                    f"volume^2 {_frac(entry.dsq.value)} [{status}]"
+                    f"instable {sc_str(entry.c_inst_rat)} stable {sc_str(entry.c_st_rat)} "
+                    f"volume^2 {sc_str(entry.dsq.value)} [{status}]"
                 ),
             }
         )

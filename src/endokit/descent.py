@@ -324,7 +324,7 @@ def validate_scenario(sc: DescentScenario) -> DescentScenario:
         ("prime", sc.form_class_prime),
         ("dblprime", sc.form_class_dblprime),
     ):
-        if tag not in ("split", "unram_nonsplit", "ramified"):
+        if tag not in FORM_CLASSES:
             bad.append(f"unknown form class {tag!r}")
     if not bad:
         if profiles[0][1].mult_minus == 0 and sc.form_class_prime != "split":
@@ -704,7 +704,7 @@ def sbar0_assign(outcome: DescentOutcome) -> dict[int, int]:
     return {b.bid: b.sbar0 for b in outcome.blocks}
 
 
-def sigma(outcome: DescentOutcome, block: Block, t: Sequence[int]) -> int:
+def sigma(block: Block, t: Sequence[int]) -> int:
     """Final sign of a block for the datum twisted by t."""
     mult = t[block.owner] if block.origin == "levi" else 1
     return block.sbar0 * mult
@@ -713,7 +713,7 @@ def sigma(outcome: DescentOutcome, block: Block, t: Sequence[int]) -> int:
 def placement(outcome: DescentOutcome, block: Block, t: Sequence[int]) -> tuple:
     """Destination of a block in the descended endoscopic group, by the
     base-point-times-twist rule."""
-    s = sigma(outcome, block, t)
+    s = sigma(block, t)
     kind = block.home[0]
     if kind == "sp":
         if block.home[1] == 1:

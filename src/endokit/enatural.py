@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .ambient import Ambient, GEtaLevi
 from .catalog import GroupType
-from .descent import DescentOutcome, gs_descended_types, sigma
+from .descent import gs_descended_types, sigma
 from .errors import MatchingFailure
 from .indexsets import (
     EStElement,
@@ -52,7 +52,7 @@ def _finite_order(d: DiagSubgroup) -> int:
     return d.order()
 
 
-def tau_L_kernel(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi) -> DiagSubgroup:
+def tau_L_kernel(amb: Ambient, levi: GEtaLevi) -> DiagSubgroup:
     """Kernel of the twist homomorphism followed by restriction to a Levi.
 
     Computed as the intersection of the Levi's fixed dual center with the
@@ -62,15 +62,15 @@ def tau_L_kernel(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi) -> DiagS
     return diag_intersect(amb.z_l(levi), amb.z_meta_m())
 
 
-def _ns_pairs(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi, t: Sequence[int]):
+def _ns_pairs(amb: Ambient, levi: GEtaLevi, t: Sequence[int]):
     pairs = []
     for home in (("sp", 1), ("sp", -1)):
-        if home not in outcome.homes:
+        if home not in amb.outcome.homes:
             continue
         _, _, x0, _, _ = amb.home_core_parts(home)
         sizes = tuple(
             sorted(
-                (b.size for b in amb.absorbed(levi, home) if sigma(outcome, b, t) == 1),
+                (b.size for b in amb.absorbed(levi, home) if sigma(b, t) == 1),
                 reverse=True,
             )
         )
@@ -80,24 +80,22 @@ def _ns_pairs(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi, t: Sequence
     return tuple(pairs)
 
 
-def make_entry(
-    outcome: DescentOutcome, amb: Ambient, t: tuple[int, ...], levi: GEtaLevi
-) -> ENaturalEntry:
-    image = pushforward_levi(outcome, amb, t, levi)
+def make_entry(amb: Ambient, t: tuple[int, ...], levi: GEtaLevi) -> ENaturalEntry:
+    image = pushforward_levi(amb, t, levi)
     dsq = amb.d_g(levi)
-    dsq_st = d_gs_side(outcome, amb, image)
+    dsq_st = d_gs_side(amb, image)
     lsbar_type, leps_type = amb.pushed_types(levi, t)
 
     z_l = amb.z_l(levi)
     z_lsbar = amb.z_pushed(levi, t, odd_side=False)
-    i_std_num = amb._cached("i_std_num", lambda: diag_index(amb.z_mexcbar(), amb.z_r()))
+    i_std_num = diag_index(amb.z_mexcbar(), amb.z_r())
     i_std_den = diag_index(z_lsbar, z_l)
-    kern = _finite_order(tau_L_kernel(outcome, amb, levi))
+    kern = _finite_order(tau_L_kernel(amb, levi))
     c_inst_rat = (i_std_num / i_std_den) / kern
 
     z_leps = amb.z_pushed(levi, t, odd_side=True)
     z_gs = amb.z_gs(t)
-    i_meta_num = amb._cached("i_meta_num", lambda: diag_index(amb.z_mexc(), amb.z_meta_m()))
+    i_meta_num = diag_index(amb.z_mexc(), amb.z_meta_m())
     i_meta_den = diag_index(z_gs, DiagSubgroup.trivial(amb.n))
     mid = diag_index(diag_intersect(amb.z_mexc(), z_leps), z_gs)
     c_st_rat = (i_meta_num / i_meta_den) / mid
@@ -112,19 +110,18 @@ def make_entry(
         dsq_st=dsq_st,
         c_inst_rat=c_inst_rat,
         c_st_rat=c_st_rat,
-        ns_pairs=_ns_pairs(outcome, amb, levi, t),
+        ns_pairs=_ns_pairs(amb, levi, t),
     )
 
 
-def enumerate_E_natural(outcome: DescentOutcome, amb: Ambient | None = None) -> tuple[ENaturalEntry, ...]:
+def enumerate_E_natural(amb: Ambient) -> tuple[ENaturalEntry, ...]:
     """All (twist, Levi) pairs surviving the four defining conditions."""
-    amb = amb or Ambient(outcome)
     out = []
-    for t in outcome.twists:
+    for t in amb.outcome.twists:
         for levi in amb.transverse_levis:  # transversality on the big side holds
-            if not is_elliptic(outcome, amb, levi, t):  # twisted datum elliptic
+            if not is_elliptic(amb, levi, t):  # twisted datum elliptic
                 continue
-            entry = make_entry(outcome, amb, t, levi)
+            entry = make_entry(amb, t, levi)
             if entry.dsq_st.is_zero:  # transversality on the endoscopic side
                 continue
             out.append(entry)
@@ -135,9 +132,7 @@ def enumerate_E_natural(outcome: DescentOutcome, amb: Ambient | None = None) -> 
 # identity verification
 
 
-def verify_identities(
-    outcome: DescentOutcome, amb: Ambient, entry: ENaturalEntry
-) -> dict[str, bool]:
+def verify_identities(amb: Ambient, entry: ENaturalEntry) -> dict[str, bool]:
     """Exact checks of every coefficient identity at one index entry."""
     t, levi = entry.t, entry.levi
     z_l = amb.z_l(levi)
@@ -168,48 +163,37 @@ def verify_identities(
 
     checks["center-product-law"] = all(
         (
-            amb._cached(
-                ("z_l product", levi), lambda: arthur_product_check(z_l, amb.z_r(), amb.z_r0())
-            ),
+            arthur_product_check(z_l, amb.z_r(), amb.z_r0()),
             arthur_product_check(z_lsbar, amb.z_mexcbar(), amb.z_r0()),
             arthur_product_check(z_leps, amb.z_mexceps(), amb.z_r0()),
-            amb._cached(
-                ("z_gs product", t), lambda: arthur_product_check(amb.z_gs(t), amb.z_mexc(), z_meta_m)
-            ),
+            arthur_product_check(amb.z_gs(t), amb.z_mexc(), z_meta_m),
         )
     )
     return checks
 
 
-def verify_index_sets(
-    outcome: DescentOutcome,
-    amb: Ambient | None = None,
-    entries: tuple[ENaturalEntry, ...] | None = None,
-) -> dict[str, bool]:
+def verify_index_sets(amb: Ambient, entries: tuple[ENaturalEntry, ...]) -> dict[str, bool]:
     """Bijectivity of the stable comparison map and the fiber law of the
     instable one, both against independently materialized index sets."""
-    amb = amb or Ambient(outcome)
-    if entries is None:
-        entries = enumerate_E_natural(outcome, amb)
     checks: dict[str, bool] = {}
 
-    est = build_E_st(outcome, amb)
+    est = build_E_st(amb)
     images = [entry.image for entry in entries]
     checks["stable-map-injective"] = len(set(images)) == len(images)
     checks["stable-map-bijective"] = set(images) == est and checks["stable-map-injective"]
 
-    einst = build_E_inst(outcome, amb)
+    einst = build_E_inst(amb)
     fibers: dict[tuple, int] = {}
     for entry in entries:
-        key = (entry.levi, einst_canon(outcome, amb, entry.levi, entry.t))
+        key = (entry.levi, einst_canon(amb, entry.levi, entry.t))
         fibers[key] = fibers.get(key, 0) + 1
     checks["instable-map-surjective"] = set(fibers) == einst
     checks["instable-fiber-law"] = all(
-        (kern := tau_L_kernel(outcome, amb, levi)).is_finite and kern.order() == count
+        (kern := tau_L_kernel(amb, levi)).is_finite and kern.order() == count
         for (levi, _), count in fibers.items()
     )
     checks["section-inverts-pushforward"] = all(
-        section_levi(outcome, amb, entry.image) == entry.levi for entry in entries
+        section_levi(amb, entry.image) == entry.levi for entry in entries
     )
     return checks
 
@@ -218,9 +202,9 @@ def verify_index_sets(
 # pushed-group identities
 
 
-def pushed_group_check(outcome: DescentOutcome, amb: Ambient, t: Sequence[int]) -> bool:
+def pushed_group_check(amb: Ambient, t: Sequence[int]) -> bool:
     """The Levi-ascent construction at the top Levi and the raw descent of
     the twisted element give the same group, with and without the bar swap."""
     arthur_bar, arthur_odd = amb.pushed_types(amb.top_levi, t)
-    descended, descended_bar = gs_descended_types(outcome, tuple(t))
+    descended, descended_bar = gs_descended_types(amb.outcome, tuple(t))
     return arthur_bar == descended_bar and arthur_odd == descended

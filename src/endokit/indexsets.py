@@ -35,15 +35,15 @@ def _degenerate(home: tuple, y: int, klass: str) -> bool:
     return home[0] == "sp" and y == 1 and klass == "split"
 
 
-def is_elliptic(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi, t: Sequence[int]) -> bool:
+def is_elliptic(amb: Ambient, levi: GEtaLevi, t: Sequence[int]) -> bool:
     """Condition for the twisted datum on the Levi to stay elliptic: all
     groups sign-pure, and no core datum degenerates."""
     for grp in levi.groups:
-        signs = {sigma(outcome, amb.block[bid], t) for bid, _ in grp}
+        signs = {sigma(amb.block[bid], t) for bid, _ in grp}
         if len(signs) != 1:
             return False
     return not any(
-        _degenerate(home, *amb.twisted_core(levi, home, t)[3:]) for home in outcome.homes if home[0] == "sp"
+        _degenerate(home, *amb.twisted_core(levi, home, t)[3:]) for home in amb.outcome.homes if home[0] == "sp"
     )
 
 
@@ -107,7 +107,7 @@ def _degenerate_even(outcome: DescentOutcome, key: HomeKey, absorbed: Sequence[B
     return klass == "split" and core_rank + sum(b.size for b in absorbed) == 1
 
 
-def enumerate_e_st(outcome: DescentOutcome, amb: Ambient, t: Sequence[int]) -> Iterator[EStElement]:
+def enumerate_e_st(outcome: DescentOutcome, t: Sequence[int]) -> Iterator[EStElement]:
     """Levis of the descended endoscopic group containing the matched one.
 
     A degenerate even part is the same subgroup as a GL(1) block, so only
@@ -127,53 +127,52 @@ def enumerate_e_st(outcome: DescentOutcome, amb: Ambient, t: Sequence[int]) -> I
         yield EStElement(tuple(t), tuple(itertools.chain(*combo)))
 
 
-def _leps_rows_block(outcome: DescentOutcome, amb: Ambient, elem: EStElement) -> list[tuple[int, ...]]:
+def _leps_rows_block(amb: Ambient, elem: EStElement) -> list[tuple[int, ...]]:
     """Block-coordinate basis of the split-center space of a stable-side
     Levi, split tori of degenerate even parts included.
 
     A degenerate even part can only arise over an empty core slot, so its
     torus line is spanned by its absorbed blocks.
     """
-    rows = [amb._block_group_row(g) for _, g in elem.groups]
+    outcome = amb.outcome
+    rows = [amb.block_group_row(g) for _, g in elem.groups]
     grouped = elem.grouped_bids()
     for key, blocks in gs_homes(outcome, tuple(elem.t)).items():
         absorbed = [b for b in blocks if b.bid not in grouped]
         if _degenerate_even(outcome, key, absorbed):
             if _even_core(outcome, key)[0]:
                 raise InvariantViolation("a degenerate split even part needs an empty core slot")
-            rows.append(amb._block_group_row(tuple((b.bid, 1) for b in absorbed)))
+            rows.append(amb.block_group_row(tuple((b.bid, 1) for b in absorbed)))
     return rows
 
 
-def d_gs_side(outcome: DescentOutcome, amb: Ambient, elem: EStElement) -> DSquared:
-    return d_squared(amb.weights, amb._m_rows_block(), tuple(_leps_rows_block(outcome, amb, elem)))
+def d_gs_side(amb: Ambient, elem: EStElement) -> DSquared:
+    return d_squared(amb.weights, amb.m_rows_block(), tuple(_leps_rows_block(amb, elem)))
 
 
-def pushforward_levi(
-    outcome: DescentOutcome, amb: Ambient, t: Sequence[int], levi: GEtaLevi
-) -> EStElement:
+def pushforward_levi(amb: Ambient, t: Sequence[int], levi: GEtaLevi) -> EStElement:
     """Image of an instable-side Levi on the stable side: same groups, each
     placed in the factor its sign sends it to."""
     groups: list[tuple[HomeKey, Group]] = []
     for grp in levi.groups:
         b0 = amb.block[grp[0][0]]
-        sgn = {sigma(outcome, amb.block[bid], t) for bid, _ in grp}
+        sgn = {sigma(amb.block[bid], t) for bid, _ in grp}
         if len(sgn) != 1:
             raise InvariantViolation("pushforward needs sign-pure groups")
-        key = placement(outcome, b0, t)
+        key = placement(amb.outcome, b0, t)
         if key[1] == "gl":
-            grp = tuple((bid, eps_orientation(outcome, amb.block[bid], t, key[2])) for bid, _ in grp)
+            grp = tuple((bid, eps_orientation(amb.outcome, amb.block[bid], t, key[2])) for bid, _ in grp)
         groups.append((key, grp))
     return EStElement(tuple(t), tuple(groups))
 
 
-def section_levi(outcome: DescentOutcome, amb: Ambient, elem: EStElement) -> GEtaLevi:
+def section_levi(amb: Ambient, elem: EStElement) -> GEtaLevi:
     """Canonical section of the pushforward: regroup the same blocks in the
     big centralizer."""
     groups: list[Group] = []
     for _, grp in elem.groups:
         if amb.block[grp[0][0]].home[0] == "gl":
-            grp = tuple((bid, eta_orientation(outcome, amb.block[bid])) for bid, _ in grp)
+            grp = tuple((bid, eta_orientation(amb.outcome, amb.block[bid])) for bid, _ in grp)
         groups.append(grp)
     return GEtaLevi(tuple(groups))
 
@@ -200,20 +199,20 @@ def _datum_class(amb: Ambient, home: tuple, absorbed: Sequence[Block], signs: Se
     return home, frozenset(frozenset(cell) for cell in (plus, minus) if cell)
 
 
-def einst_canon(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi, t: Sequence[int]) -> tuple:
+def einst_canon(amb: Ambient, levi: GEtaLevi, t: Sequence[int]) -> tuple:
     """Canonical form of the twisted datum class on a Levi."""
     parts = []
-    for home in outcome.homes:
+    for home in amb.outcome.homes:
         if home[0] != "gl":
             absorbed = amb.absorbed(levi, home)
-            parts.append(_datum_class(amb, home, absorbed, [sigma(outcome, b, t) for b in absorbed]))
+            parts.append(_datum_class(amb, home, absorbed, [sigma(b, t) for b in absorbed]))
     return tuple(parts)
 
 
-def enumerate_einst_data(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi) -> list[tuple]:
+def enumerate_einst_data(amb: Ambient, levi: GEtaLevi) -> list[tuple]:
     """All elliptic datum classes on a Levi, enumerated from scratch."""
     per_home = []
-    for home in outcome.homes:
+    for home in amb.outcome.homes:
         if home[0] == "gl":
             continue
         absorbed = amb.absorbed(levi, home)
@@ -227,22 +226,20 @@ def enumerate_einst_data(outcome: DescentOutcome, amb: Ambient, levi: GEtaLevi) 
     return list(itertools.product(*per_home))
 
 
-def build_E_inst(outcome: DescentOutcome, amb: Ambient | None = None) -> set:
+def build_E_inst(amb: Ambient) -> set:
     """Independent instable-side index set: (Levi, datum class) pairs."""
-    amb = amb or Ambient(outcome)
     out = set()
     for levi in amb.transverse_levis:
-        for datum in enumerate_einst_data(outcome, amb, levi):
+        for datum in enumerate_einst_data(amb, levi):
             out.add((levi, datum))
     return out
 
 
-def build_E_st(outcome: DescentOutcome, amb: Ambient | None = None) -> set:
+def build_E_st(amb: Ambient) -> set:
     """Independent stable-side index set: (twist, endoscopic Levi) pairs."""
-    amb = amb or Ambient(outcome)
     out = set()
-    for t in outcome.twists:
-        for elem in enumerate_e_st(outcome, amb, t):
+    for t in amb.outcome.twists:
+        for elem in enumerate_e_st(amb.outcome, t):
             if amb.transverse(g for _, g in elem.groups):
                 out.add(elem)
     return out

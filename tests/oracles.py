@@ -357,9 +357,10 @@ def separation_check(outcome, assignment: Assignment) -> bool:
     return True
 
 
-def arthur_general_types(outcome, amb, assignment: Assignment) -> tuple[GroupType, GroupType]:
+def arthur_general_types(amb, assignment: Assignment) -> tuple[GroupType, GroupType]:
     """Connected dual centralizer of the general twist at the top Levi:
     (bar side, odd side), computed purely from the sign algebra."""
+    outcome = amb.outcome
     factors: list = []  # shared by both sides
     bar_factors: list = []
     odd_factors: list = []
@@ -393,13 +394,13 @@ def arthur_general_types(outcome, amb, assignment: Assignment) -> tuple[GroupTyp
     return GroupType(tuple(factors + bar_factors)), GroupType(tuple(factors + odd_factors))
 
 
-def general_twist_check(outcome, amb, assignment: Assignment) -> bool:
+def general_twist_check(amb, assignment: Assignment) -> bool:
     """Pushed-group identity for a general twist: the symbolic centralizer
     of the twist equals the descended centralizer of the twisted element."""
-    if not separation_check(outcome, assignment):
+    if not separation_check(amb.outcome, assignment):
         return False
-    a_bar, a_odd = arthur_general_types(outcome, amb, assignment)
-    full, full_bar = gs_descended_types(outcome, assignment)
+    a_bar, a_odd = arthur_general_types(amb, assignment)
+    full, full_bar = gs_descended_types(amb.outcome, assignment)
     return a_bar == full_bar and a_odd == full
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from endokit import campaign
+from endokit.ambient import Ambient
 from endokit.campaign import (
     DESCENT_LAWS,
     ENTRY_LAWS,
@@ -406,10 +407,12 @@ def test_check_error_fails_its_family_only(family, laws, monkeypatch):
     assert len(bad_scenarios) == 5
     original = getattr(campaign, family)
 
-    def failing(outcome, *args):
+    def failing(first, *args):
+        # the families after ``Ambient`` take the Ambient, which holds the outcome
+        outcome = first.outcome if isinstance(first, Ambient) else first
         if outcome_shape(outcome) == bad:
             raise NotCommensurable("first group is not contained in the second")
-        return original(outcome, *args)
+        return original(first, *args)
 
     monkeypatch.setattr(campaign, family, failing)
     rep = run_campaign(spec)
@@ -427,7 +430,7 @@ def test_law_families_match_the_checks():
     sc = next(iter(scenario_corpus(CampaignSpec(max_rank=1))))
     outcome = descend(sc)
     amb = campaign.Ambient(outcome)
-    entries = campaign.enumerate_E_natural(outcome, amb)
+    entries = campaign.enumerate_E_natural(amb)
     assert entries
-    assert tuple(campaign.verify_identities(outcome, amb, entries[0])) == IDENTITY_LAWS
-    assert tuple(campaign.verify_index_sets(outcome, amb, entries)) == INDEX_SET_LAWS
+    assert tuple(campaign.verify_identities(amb, entries[0])) == IDENTITY_LAWS
+    assert tuple(campaign.verify_index_sets(amb, entries)) == INDEX_SET_LAWS

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -283,7 +284,7 @@ class TestPushedGroups:
         o = descend(sc)
         amb = Ambient(o)
         for t in itertools.product((1, -1), repeat=o.i_count):
-            assert pushed_group_check(o, amb, t)
+            assert pushed_group_check(amb, t)
 
     def test_bottom_levi_pushes_to_matched_group(self):
         o = descend(UNITARY)
@@ -300,7 +301,7 @@ class TestPushedGroups:
             o = descend(sc)
             amb = Ambient(o)
             for asg in general_assignments(o.i_count):
-                assert general_twist_check(o, amb, asg), (sc.digest(), asg)
+                assert general_twist_check(amb, asg), (sc.digest(), asg)
 
 
 class TestIndexSets:
@@ -308,25 +309,25 @@ class TestIndexSets:
     def test_index_set_laws(self, sc):
         o = descend(sc)
         amb = Ambient(o)
-        checks = verify_index_sets(o, amb)
+        checks = verify_index_sets(amb, enumerate_E_natural(amb))
         assert all(checks.values()), checks
 
     def test_known_entry_counts(self):
-        assert len(enumerate_E_natural(descend(MINIMAL))) == 1
-        assert len(enumerate_E_natural(descend(ONE_BLOCK))) == 1
-        assert len(enumerate_E_natural(descend(MIXED))) == 5
+        assert len(enumerate_E_natural(Ambient(descend(MINIMAL)))) == 1
+        assert len(enumerate_E_natural(Ambient(descend(ONE_BLOCK)))) == 1
+        assert len(enumerate_E_natural(Ambient(descend(MIXED)))) == 5
 
     def test_pushforward_section_roundtrip(self):
         o = descend(MIXED)
         amb = Ambient(o)
-        for entry in enumerate_E_natural(o, amb):
-            image = pushforward_levi(o, amb, entry.t, entry.levi)
-            assert section_levi(o, amb, image) == entry.levi
+        for entry in enumerate_E_natural(amb):
+            image = pushforward_levi(amb, entry.t, entry.levi)
+            assert section_levi(amb, image) == entry.levi
 
     def test_est_elements_have_matching_count(self):
         o = descend(PAIRS)
         amb = Ambient(o)
-        assert len(build_E_st(o, amb)) == len(enumerate_E_natural(o, amb))
+        assert len(build_E_st(amb)) == len(enumerate_E_natural(amb))
 
 
 class TestCanonicalConstructors:
@@ -349,7 +350,7 @@ class TestCanonicalConstructors:
             for levi in enumerate_levis(o):
                 assert GEtaLevi(tuple(self._scrambled(g) for g in reversed(levi.groups))) == levi
             for t in o.twists:
-                for elem in enumerate_e_st(o, amb, t):
+                for elem in enumerate_e_st(o, t):
                     raw = tuple((key, self._scrambled(g)) for key, g in reversed(elem.groups))
                     assert EStElement(t, raw) == elem
                     shared += sum(len(g) > 1 for _, g in elem.groups)
@@ -366,20 +367,20 @@ class TestCoefficientIdentities:
     def test_all_identities(self, sc):
         o = descend(sc)
         amb = Ambient(o)
-        entries = enumerate_E_natural(o, amb)
+        entries = enumerate_E_natural(amb)
         for entry in entries:
-            checks = verify_identities(o, amb, entry)
+            checks = verify_identities(amb, entry)
             assert all(checks.values()), (entry.t, entry.levi.groups, checks)
 
     def test_minimal_collapses_to_one(self):
         o = descend(MINIMAL)
-        entry = enumerate_E_natural(o)[0]
+        entry = enumerate_E_natural(Ambient(o))[0]
         assert entry.c_inst_rat == 1 and entry.c_st_rat == 1
         assert entry.dsq.value == 1
 
     def test_one_block_values(self):
         o = descend(ONE_BLOCK)
-        entry = enumerate_E_natural(o)[0]
+        entry = enumerate_E_natural(Ambient(o))[0]
         assert entry.t == (1,)
         assert entry.c_inst_rat == 1
         assert entry.c_st_rat == F(1, 2)
@@ -390,7 +391,7 @@ class TestCoefficientIdentities:
         for sc in CORPUS:
             o = descend(sc)
             amb = Ambient(o)
-            for entry in enumerate_E_natural(o, amb):
+            for entry in enumerate_E_natural(amb):
                 for v in (entry.c_inst_rat, entry.c_st_rat):
                     x = v.numerator * v.denominator
                     assert x & (x - 1) == 0
@@ -399,7 +400,7 @@ class TestCoefficientIdentities:
         for sc in CORPUS:
             o = descend(sc)
             amb = Ambient(o)
-            for entry in enumerate_E_natural(o, amb):
+            for entry in enumerate_E_natural(amb):
                 assert entry.dsq == entry.dsq_st
 
 
@@ -436,7 +437,7 @@ class TestTwistHomomorphism:
         o = descend(MIXED)
         t = (-1,)
         for b in o.blocks:
-            assert sigma(o, b, t) == b.sbar0 * (t[b.owner] if b.origin == "levi" else 1)
+            assert sigma(b, t) == b.sbar0 * (t[b.owner] if b.origin == "levi" else 1)
 
     def test_kernel_of_top_levi(self):
         from endokit.enatural import tau_L_kernel
@@ -444,11 +445,11 @@ class TestTwistHomomorphism:
         # the symplectic big centralizer has trivial dual center
         o = descend(ONE_BLOCK)
         amb = Ambient(o)
-        assert tau_L_kernel(o, amb, top_levi(o)).order() == 1
+        assert tau_L_kernel(amb, top_levi(o)).order() == 1
         # a unitary factor swallowing the whole block contributes two signs
         o = descend(UNITARY)
         amb = Ambient(o)
-        kern = tau_L_kernel(o, amb, top_levi(o))
+        kern = tau_L_kernel(amb, top_levi(o))
         assert kern.is_finite and kern.order() == 2
 
     def test_kernel_matches_fiber_size(self):
@@ -457,13 +458,13 @@ class TestTwistHomomorphism:
 
         o = descend(MIXED)
         amb = Ambient(o)
-        entries = enumerate_E_natural(o, amb)
+        entries = enumerate_E_natural(amb)
         fibers = {}
         for e in entries:
-            key = (e.levi, einst_canon(o, amb, e.levi, e.t))
+            key = (e.levi, einst_canon(amb, e.levi, e.t))
             fibers[key] = fibers.get(key, 0) + 1
         for (levi, _), count in fibers.items():
-            assert tau_L_kernel(o, amb, levi).order() == count
+            assert tau_L_kernel(amb, levi).order() == count
 
 
 class TestBlockCoordinateShortcut:
@@ -513,16 +514,16 @@ class TestAtomCoordinates:
     def _results(o):
         amb = Ambient(o)
         twists = list(itertools.product((1, -1), repeat=o.i_count))
-        entries = enumerate_E_natural(o, amb)
+        entries = enumerate_E_natural(amb)
         centers = [amb.z_meta_m(), amb.z_mexc(), amb.z_r(), amb.z_r0(), amb.z_mexcbar(), amb.z_mexceps()]
         centers += [amb.z_gs(t) for t in twists]
         centers += [amb.z_l(levi) for levi in enumerate_levis(o)]
         centers += [amb.z_pushed(e.levi, e.t, odd_side=side) for e in entries for side in (False, True)]
         return (
             entries,
-            [verify_identities(o, amb, e) for e in entries],
-            verify_index_sets(o, amb, entries),
-            [pushed_group_check(o, amb, t) for t in twists],
+            [verify_identities(amb, e) for e in entries],
+            verify_index_sets(amb, entries),
+            [pushed_group_check(amb, t) for t in twists],
             # the dimension and the component-group order: for a finite
             # center, its order
             [(z.dim, diag_index(z, diag_identity_component(z))) for z in centers],
@@ -560,8 +561,8 @@ class TestDerivedOnce:
             o = _corrupt_sbar0(o) if fault else o
             amb = Ambient(o)
             for t in o.twists:
-                pushed_group_check(o, amb, t)
-            enumerate_E_natural(o, amb)
+                pushed_group_check(amb, t)
+            enumerate_E_natural(amb)
             assert o.twists == tuple(itertools.product((1, -1), repeat=o.i_count))
             assert amb.transverse_levis == tuple(levi for levi in enumerate_levis(o) if amb.transverse(levi.groups))
             assert amb.top_levi == top_levi(o)
@@ -572,24 +573,16 @@ class TestMemoTables:
 
     @staticmethod
     def _clear_memo_tables():
-        from endokit import ambient, catalog, descent, lattices
-
-        for table in (
-            catalog.grouping_patterns,
-            lattices.diag_intersect,
-            lattices.diag_product,
-            lattices.diag_identity_component,
-            lattices.diag_index,
-            lattices._hermite_basis,
-            ambient.d_squared,
-            descent.orbit_of,
-            descent._pair_key_exp,
-            descent.neg_rep_exp,
-            descent._self_inverse_exp,
-            descent._MultisetProfile,
-            descent._gl_block_residues,
-            descent._odd_orthogonal_factors,
-        ):
+        """Clear every memo table of every loaded endokit module, so a table
+        added later cannot be left out."""
+        tables = {
+            id(value): value
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "endokit"
+            for value in vars(module).values()
+            if hasattr(value, "cache_clear")
+        }
+        for table in tables.values():
             table.cache_clear()
 
     @pytest.mark.parametrize("fault", [None, "corrupt-sbar0"])

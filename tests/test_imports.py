@@ -13,7 +13,8 @@ are exempt, and so are functions under a decorator other than
 memo tables), which the decorator registers or wraps.  A ``from .x import
 _y`` at any depth of a package module is a private name crossing a module
 boundary; a private module itself (``from . import _intlinalg``) may be
-imported.
+imported.  So is a read of ``x._y`` in a module that binds ``_y`` nowhere:
+not as a function, a class, an assignment target or an attribute store.
 """
 
 import ast
@@ -137,6 +138,44 @@ def test_scan_flags_a_private_import():
     assert private_imports(source) == ["ambient._helper (line 3)", "descent._deep (line 5)"]
 
 
+def private_attributes(source: str) -> list[str]:
+    """``_name`` for every read of a private, non-dunder attribute that the
+    module binds nowhere, so another module defines it."""
+    tree = ast.parse(source)
+    bound = set()
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(n.name)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            bound.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            bound.add(n.attr)
+    reads = [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.ctx, ast.Load)
+        and n.attr.startswith("_")
+        and not (n.attr.startswith("__") and n.attr.endswith("__"))
+        and n.attr not in bound
+    ]
+    return [f"{n.attr} (line {n.lineno})" for n in sorted(reads, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_scan_flags_a_private_attribute():
+    source = (
+        "class A:\n"
+        "    def _own(self): return self._memo\n"
+        "    def __init__(self): self._memo = {}\n"
+        "_table = {}\n"
+        "def f(amb, mod):\n"
+        "    amb._own(); amb._memo; mod._table; object.__setattr__\n"
+        "    return amb._cached(1), mod._hermite_basis\n"
+    )
+    assert private_attributes(source) == ["_cached (line 7)", "_hermite_basis (line 7)"]
+
+
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_private_name_crosses_a_module(path):
-    assert private_imports(path.read_text()) == []
+    source = path.read_text()
+    assert private_imports(source) + private_attributes(source) == []
