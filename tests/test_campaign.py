@@ -408,7 +408,7 @@ def test_check_error_fails_its_family_only(family, laws, monkeypatch):
     original = getattr(campaign, family)
 
     def failing(first, *args):
-        # the families after ``Ambient`` take the Ambient, which holds the outcome
+        # the families that read an Ambient take it first; it holds the outcome
         outcome = first.outcome if isinstance(first, Ambient) else first
         if outcome_shape(outcome) == bad:
             raise NotCommensurable("first group is not contained in the second")

@@ -346,7 +346,6 @@ class TestCanonicalConstructors:
         shared = 0  # stable-side groups of more than one block
         for sc in [*CORPUS, two_plus]:
             o = descend(sc)
-            amb = Ambient(o)
             for levi in enumerate_levis(o):
                 assert GEtaLevi(tuple(self._scrambled(g) for g in reversed(levi.groups))) == levi
             for t in o.twists:
