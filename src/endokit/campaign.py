@@ -437,26 +437,22 @@ def _check_outcome(outcome: DescentOutcome) -> tuple[Verdict, ...]:
     )
 
 
+def _levi_group(sc: DescentScenario) -> tuple[int, tuple[int, ...]]:
+    return sc.n, sc.sizes
+
+
 def _scenario_pairs(scenarios: Iterable[DescentScenario], fault: str | None) -> Iterator[Pair]:
-    """``(digest, verdicts)`` of each scenario, through one shape cache."""
+    """``(digest, verdicts)`` of each scenario, through one shape cache that
+    holds one ``(n, sizes)`` group's keys at a time.  The corpus yields each
+    group as one run and no shape key spans two groups, so clearing the keys
+    at each boundary checks no shape twice; the interned verdict tuples stay
+    for the whole walk."""
     cache = ShapeCache()
-    for sc in scenarios:
-        got = check_scenario(sc, fault, cache)
-        yield got.digest, got.verdicts
-
-
-def _shards(scenarios: Iterable[DescentScenario], jobs: int) -> list[list[DescentScenario]]:
-    """At most ``jobs`` non-empty shards of the scenarios, each holding whole
-    groups of equal Levi ``sizes``.  ``outcome_shape`` contains the sizes, so
-    no shape is checked in two shards.  Groups are dealt largest first, ties
-    by sizes, each to the shard with the fewest scenarios so far."""
-    groups: dict[tuple[int, ...], list[DescentScenario]] = {}
-    for sc in scenarios:
-        groups.setdefault(sc.sizes, []).append(sc)
-    shards: list[list[DescentScenario]] = [[] for _ in range(jobs)]
-    for sizes in sorted(groups, key=lambda s: (-len(groups[s]), s)):
-        min(shards, key=len).extend(groups[sizes])
-    return [shard for shard in shards if shard]
+    for _, group in itertools.groupby(scenarios, key=_levi_group):
+        cache.clear()
+        for sc in group:
+            got = check_scenario(sc, fault, cache)
+            yield got.digest, got.verdicts
 
 
 def run_descent_suite(spec: CampaignSpec, records: list[Pair], jobs: int = 1) -> None:
@@ -466,16 +462,17 @@ def run_descent_suite(spec: CampaignSpec, records: list[Pair], jobs: int = 1) ->
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    shards = _shards(scenarios, jobs)
-    if shards:
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            for chunk in pool.map(_check_bucket_worker, [(shard, spec.fault) for shard in shards]):
+    groups = [list(group) for _, group in itertools.groupby(scenarios, key=_levi_group)]
+    groups.sort(key=len, reverse=True)
+    if groups:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
+            for chunk in pool.map(_check_bucket_worker, [(group, spec.fault) for group in groups]):
                 records.extend(chunk)
 
 
 def _check_bucket_worker(args: tuple[list[DescentScenario], str | None]) -> list[Pair]:
-    """A pool task: the ``(digest, verdicts)`` pairs of one shard.  Pickle's
-    memo sends each distinct verdict tuple once."""
+    """A pool task: the ``(digest, verdicts)`` pairs of one ``(n, sizes)``
+    group.  Pickle's memo sends each distinct verdict tuple of it once."""
     return list(_scenario_pairs(*args))
 
 
@@ -525,6 +522,8 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> VerificationReport:
     for q in spec.q_values:
         if bad_q := q_violation(q):
             raise ValueError(bad_q)
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, not {jobs}")
     pairs: list[Pair] = []
     timings: dict[str, float] = {}
     for suite in spec.suites:

@@ -2,7 +2,9 @@
 one store of ``(scenario, verdicts)`` pairs."""
 
 import ast
+import concurrent.futures
 import hashlib
+import itertools
 import json
 import os
 from collections import defaultdict
@@ -230,8 +232,8 @@ def test_failed_hit_is_checked_afresh(monkeypatch):
 
 
 def test_pool_matches_one_process_at_rank_3():
-    """Shards by Levi sizes keep the canonical classes whole, and the
-    rechecked failures come out as in one process."""
+    """Tasks of whole ``(n, sizes)`` groups keep the canonical classes whole,
+    and the rechecked failures come out as in one process."""
     spec = CampaignSpec(max_rank=3, suites=("descent",), fault="corrupt-sbar0")
     assert run_campaign(spec, jobs=2).pairs == run_campaign(spec).pairs
 
@@ -340,23 +342,60 @@ def test_unknown_fault_and_suite_are_refused():
         run_campaign(CampaignSpec(max_rank=2, suites=("decent",)))
     with pytest.raises(ValueError, match="eigenvalue orders must be positive"):
         run_campaign(CampaignSpec(max_rank=1, orders=(0,), suites=("descent",)))
+    # a pool of no process, instead of a silent run in this one
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match=f"jobs must be positive, not {jobs}"):
+            run_campaign(CampaignSpec(max_rank=1, suites=("descent",)), jobs=jobs)
     # a q that no scenario can have, instead of one scenario-build failure per scenario
     for q, message in ((1, "q=1 is not"), (0, "q=0 is not"), (-3, "q=-3 is not"), (2, "must be odd")):
         with pytest.raises(ValueError, match=message):
             run_campaign(CampaignSpec(max_rank=1, q_values=(q,), suites=("descent",)))
 
 
-def test_shards_keep_each_levi_shape_in_one_worker():
-    corpus = list(scenario_corpus(CampaignSpec(max_rank=4)))
-    shards = campaign._shards(corpus, 2)
-    assert sorted(sc.digest() for shard in shards for sc in shard) == sorted(sc.digest() for sc in corpus)
-    owners = defaultdict(set)
-    for i, shard in enumerate(shards):
-        for sc in shard:
-            owners[sc.sizes].add(i)
-    assert len(owners) == 12 and all(len(o) == 1 for o in owners.values())
-    assert sorted(len(s) for s in shards) == [10314, 10326]
-    assert [len(s) for s in campaign._shards(corpus[:5], 8)] == [5]
+@pytest.mark.parametrize("rank,fault", [(4, None), *((3, fault) for fault in FAULTS)])
+def test_each_levi_group_is_one_run_of_its_own_shapes(rank, fault):
+    """The descent suite checks one ``(n, sizes)`` group at a time, with a
+    shape cache that holds that group's keys alone.  So no shape is checked
+    twice only if the corpus yields each group as one run and no shape key
+    occurs in two groups."""
+    corpus = list(scenario_corpus(CampaignSpec(max_rank=rank)))
+    runs = [group for group, _ in itertools.groupby((sc.n, sc.sizes) for sc in corpus)]
+    assert len(runs) == len(set(runs)) == {3: 13, 4: 25}[rank]
+    group_of = {}
+    for sc in corpus:
+        outcome = descend(sc)
+        key = outcome_shape(FAULTS[fault](outcome) if fault else outcome)
+        assert group_of.setdefault(key, (sc.n, sc.sizes)) == (sc.n, sc.sizes), sc.digest()
+    assert len(group_of) == (10031 if rank == 4 else CANONICAL_PARTITION[fault][0])
+
+
+def test_pool_asks_for_no_more_workers_than_groups(monkeypatch):
+    """A stub executor, run in this process, stands in for the pool: rank 1
+    has two ``(n, sizes)`` groups, so ``jobs=8`` asks for two workers, and
+    the groups go out largest first."""
+    asked, tasks = [], []
+
+    class StubExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            tasks.extend(args)
+            return map(fn, args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
+    spec = CampaignSpec(max_rank=1, suites=("descent",))
+    assert run_campaign(spec, jobs=8).pairs == run_campaign(spec).pairs
+    assert asked == [2]
+    sizes = [len(group) for group, _ in tasks]
+    assert len(sizes) == 2 and sizes == sorted(sizes, reverse=True)
+    assert sum(sizes) == len(list(scenario_corpus(spec)))
 
 
 def test_pool_checks_each_shape_once(tmp_path, monkeypatch):
@@ -381,6 +420,7 @@ def test_pool_checks_each_shape_once(tmp_path, monkeypatch):
     assert par.pairs == seq.pairs
     seq_checks, par_checks = pids(tmp_path / "seq.log"), pids(tmp_path / "par.log")
     assert len(par_checks) == len(seq_checks) > 0
+    assert len(seq_checks) == len({outcome_shape(descend(sc)) for sc in scenario_corpus(spec)})
     assert set(seq_checks) == {str(os.getpid())}
     assert len(set(par_checks)) == 2 and str(os.getpid()) not in par_checks
 

@@ -283,6 +283,11 @@ class TestVerifyCommand:
         assert result.exit_code == 2
         assert "q=1 is not a prime power" in result.output
 
+    def test_non_positive_jobs_is_a_usage_error(self, runner):
+        result = runner.invoke(main, ["verify", "--max-rank", "1", "--jobs", "0", "--suites", "descent"])
+        assert result.exit_code == 2
+        assert "jobs must be positive, not 0" in result.output
+
     def test_env_var_default_dir(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("ENDOKIT_OUT_DIR", str(tmp_path))
         result = runner.invoke(main, ["verify", "--max-rank", "1", "--suites", "goldens"])

@@ -4,11 +4,22 @@ Each test applies one deliberate defect to the library with ``monkeypatch``
 and asserts that a small campaign no longer passes, naming the laws that
 fail (mutation analysis: DeMillo, Lipton and Sayward, "Hints on test data
 selection", IEEE Computer 11(4), 1978).  A mutation that no law catches
-would mark a shortcut the checks cannot see.
+would mark a shortcut the checks cannot see, unless it is equivalent: the
+same verdicts by another route, which its test records.
 """
 
+from collections import Counter
+
+from endokit import campaign, indexsets, shape
 from endokit.ambient import Ambient
 from endokit.campaign import CampaignSpec, run_campaign
+
+RANK3 = CampaignSpec(max_rank=3, suites=("descent",))
+
+
+def failed_records(rep) -> dict[str, int]:
+    """The failed records of a report, counted by law."""
+    return dict(Counter(r.check for r in rep.failures()))
 
 
 def test_wrongly_keyed_ambient_memo(monkeypatch):
@@ -38,3 +49,42 @@ def test_wrongly_keyed_ambient_memo(monkeypatch):
         "section-inverts-pushforward",
         "entry-count",
     }
+
+
+def test_degenerate_core_kept(monkeypatch):
+    """A symplectic core whose even part is split of rank one kept as an
+    elliptic datum: the instable index set gains data that no natural entry
+    reaches."""
+    monkeypatch.setattr(indexsets, "_degenerate", lambda home, y, klass: False)
+    assert failed_records(run_campaign(RANK3)) == {"instable-map-surjective": 813}
+
+
+def test_degenerate_even_part_kept(monkeypatch):
+    """A split rank-one even part kept beside its GL(1) block form: the
+    stable index set gains Levis that no natural entry reaches."""
+    monkeypatch.setattr(indexsets, "_degenerate_even", lambda outcome, key, absorbed: False)
+    assert failed_records(run_campaign(RANK3)) == {"stable-map-bijective": 813}
+
+
+def test_identity_owner_order_is_equivalent(monkeypatch):
+    """An equivalent mutation: a shape key built from the identity order of
+    the Levi owners alone is still exact, only no longer canonical under
+    block permutations.  The campaign checks the 1,730 raw shapes of the
+    rank-3 corpus instead of its 1,524 classes, with the same verdicts."""
+    check = campaign._check_outcome
+    checked = []
+
+    def counted(outcome):
+        checked.append(outcome)
+        return check(outcome)
+
+    def identity_order(sizes, invariant):
+        yield tuple(range(len(sizes)))
+
+    monkeypatch.setattr(campaign, "_check_outcome", counted)
+    want = run_campaign(RANK3)
+    classes = len(checked)
+    monkeypatch.setattr(shape, "_owner_orders", identity_order)
+    got = run_campaign(RANK3)
+    assert got.pairs == want.pairs and got.passed
+    assert (classes, len(checked) - classes) == (1524, 1730)
