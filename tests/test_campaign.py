@@ -395,7 +395,6 @@ def test_pool_asks_for_no_more_workers_than_groups(monkeypatch):
     assert asked == [2]
     sizes = [len(group) for group, _ in tasks]
     assert len(sizes) == 2 and sizes == sorted(sizes, reverse=True)
-    assert sum(sizes) == len(list(scenario_corpus(spec)))
 
 
 def test_pool_checks_each_shape_once(tmp_path, monkeypatch):
