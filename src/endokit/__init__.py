@@ -37,10 +37,8 @@ from .descent import (
     compatibility_check,
     descend,
     eta_from_epsilon,
-    hypothesis_flags,
     placement,
     placement_independent,
-    sbar0_assign,
     validate_scenario,
 )
 from .enatural import (
@@ -98,7 +96,6 @@ from .lattices import (
     diag_index,
     diag_intersect,
     diag_product,
-    hermite_form,
     lattice_index,
     smith_form,
 )

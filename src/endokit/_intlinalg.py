@@ -186,11 +186,6 @@ def snf_with_transforms(
     return d, u, v
 
 
-def invariant_factors(rows: Iterable[Sequence[int]], ncols: int) -> tuple[int, ...]:
-    d, _, _ = snf_with_transforms(rows, ncols)
-    return tuple(x for x in d if x != 0)
-
-
 def solve_int(basis: Sequence[Sequence[int]], target: Sequence[int]) -> list[int] | None:
     """Integer coordinates of ``target`` in the HNF basis, or None.
 

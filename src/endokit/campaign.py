@@ -517,6 +517,10 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> VerificationReport:
             raise ValueError(f"unknown suite {suite!r}")
     if spec.fault is not None and spec.fault not in FAULTS:
         raise ValueError(f"unknown fault {spec.fault!r}")
+    if spec.max_rank < 0:
+        raise ValueError(f"max_rank must be nonnegative, not {spec.max_rank}")
+    if spec.torsion_samples < 1:
+        raise ValueError(f"torsion_samples must be positive, not {spec.torsion_samples}")
     if any(order < 1 for order in spec.orders):
         raise ValueError(f"eigenvalue orders must be positive, not {list(spec.orders)}")
     for q in spec.q_values:

@@ -16,10 +16,10 @@ from fractions import Fraction
 import click
 
 from .ambient import Ambient
-from .campaign import FAULTS, SUITES, CampaignSpec, run_campaign
+from .campaign import FAULTS, SUITES, CampaignSpec, check_scenario, run_campaign
 from .catalog import LeviDatum, levi_data, sp, u
-from .descent import DescentScenario, compatibility_check, descend
-from .enatural import enumerate_E_natural, pushed_group_check, verify_identities, verify_index_sets
+from .descent import DescentScenario, descend
+from .enatural import enumerate_E_natural
 from .endoscopy import (
     ArthurConfig,
     EigenMultiset,
@@ -302,7 +302,8 @@ def coeff(kind, n, sizes, m, s0, signs, ambient, even_class, dbl_side, dim, am, 
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="text")
 @click.option("--out", type=click.Path(), default=None)
 def descend_cmd(scenario_path: str | None, digest: str | None, fmt: str, out: str | None) -> None:
-    """Descend one scenario, from a file or a digest, and verify every identity on it."""
+    """Descend one scenario, from a file or a digest, and print the records
+    that a campaign's report holds for it."""
     if (scenario_path is None) == (digest is None):
         raise click.UsageError("give exactly one of --scenario and --digest")
     try:
@@ -312,17 +313,10 @@ def descend_cmd(scenario_path: str | None, digest: str | None, fmt: str, out: st
         else:
             sc = DescentScenario.from_digest(digest)
         outcome = descend(sc)
-        amb = Ambient(outcome)
-        twist_laws = {
-            "sign-rule-vs-descent": all(compatibility_check(outcome, t) for t in outcome.twists),
-            "pushed-group": all(pushed_group_check(amb, t) for t in outcome.twists),
-        }
-        entries = enumerate_E_natural(amb)
-        checks = [verify_identities(amb, entry) for entry in entries]
-        idx = verify_index_sets(amb, entries)
     except (EndokitError, KeyError, ValueError) as exc:
         click.echo(f"domain error: {exc}", err=True)
         sys.exit(EXIT_DOMAIN_ERROR)
+    records = check_scenario(sc)
     rows = [
         {
             "object": "groups",
@@ -330,27 +324,26 @@ def descend_cmd(scenario_path: str | None, digest: str | None, fmt: str, out: st
                 f"matched Levi {outcome.r_group().display()} inside {outcome.g_eta().display()}; "
                 f"endoscopic side {outcome.mexc().display()}"
             ),
-        },
-        {"object": "index-set", "detail": f"{len(entries)} surviving (twist, Levi) pairs"},
+        }
     ]
-    failed = not all(twist_laws.values())
-    for entry, entry_checks in zip(entries, checks):
-        status = "pass" if all(entry_checks.values()) else "FAIL"
-        failed = failed or status == "FAIL"
-        rows.append(
-            {
-                "object": f"entry t={','.join('+' if x == 1 else '-' for x in entry.t) or '-'}",
-                "detail": (
-                    f"instable {sc_str(entry.c_inst_rat)} stable {sc_str(entry.c_st_rat)} "
-                    f"volume^2 {sc_str(entry.dsq.value)} [{status}]"
-                ),
-            }
-        )
-    failed = failed or not all(idx.values())
-    rows.append({"object": "twist-laws", "detail": json.dumps(twist_laws, sort_keys=True)})
-    rows.append({"object": "index-maps", "detail": json.dumps(idx, sort_keys=True)})
+    # ``entry-count``, the last record, passes once the index set is built; when
+    # it fails, no entry is shown and the law rows carry the error.
+    if records[-1].status == "pass":
+        entries = enumerate_E_natural(Ambient(outcome))
+        rows.append({"object": "index-set", "detail": f"{len(entries)} surviving (twist, Levi) pairs"})
+        for entry in entries:
+            rows.append(
+                {
+                    "object": f"entry t={','.join('+' if x == 1 else '-' for x in entry.t) or '-'}",
+                    "detail": (
+                        f"instable {sc_str(entry.c_inst_rat)} stable {sc_str(entry.c_st_rat)} "
+                        f"volume^2 {sc_str(entry.dsq.value)}"
+                    ),
+                }
+            )
+    rows += [{"object": r.check, "detail": json.dumps(r.to_dict(), sort_keys=True)} for r in records]
     _emit(rows, fmt, _out_path(out, f"descend.{fmt}"))
-    if failed:
+    if any(r.status == "fail" for r in records):
         sys.exit(EXIT_IDENTITY_FAILURE)
 
 

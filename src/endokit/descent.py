@@ -336,12 +336,6 @@ def validate_scenario(sc: DescentScenario) -> DescentScenario:
     return sc
 
 
-def hypothesis_flags(sc: DescentScenario) -> tuple[bool, bool]:
-    """(quasi-split flag, unramified flag) for the centralizer pair."""
-    ramified = "ramified" in (sc.form_class_prime, sc.form_class_dblprime)
-    return True, not ramified
-
-
 # ---------------------------------------------------------------------------
 # centralizer types
 
@@ -696,12 +690,6 @@ def _sanity(outcome: DescentOutcome) -> None:
 
 # ---------------------------------------------------------------------------
 # base-point signs and placement
-
-
-def sbar0_assign(outcome: DescentOutcome) -> dict[int, int]:
-    """Base-point sign on every block: +1 on the plus and unitary Levi blocks,
-    -1 on the minus ones; pulled blocks follow their factor pairing."""
-    return {b.bid: b.sbar0 for b in outcome.blocks}
 
 
 def sigma(block: Block, t: Sequence[int]) -> int:

@@ -116,11 +116,6 @@ def _hermite_basis(generators: tuple[tuple[int, ...], ...], ambient_rank: int) -
     return la.hnf_rows(generators, ambient_rank)
 
 
-def hermite_form(lat: IntLattice) -> IntLattice:
-    """Canonical form of a lattice; construction already canonicalizes."""
-    return IntLattice(lat.ambient_rank, lat.generators)
-
-
 def smith_form(
     rows: Sequence[Sequence[int]], ncols: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:

@@ -342,6 +342,13 @@ def test_unknown_fault_and_suite_are_refused():
         run_campaign(CampaignSpec(max_rank=2, suites=("decent",)))
     with pytest.raises(ValueError, match="eigenvalue orders must be positive"):
         run_campaign(CampaignSpec(max_rank=1, orders=(0,), suites=("descent",)))
+    # a vacuous bound, instead of a run of records that pass with nothing checked
+    for rank in (-1, -2):
+        with pytest.raises(ValueError, match=f"max_rank must be nonnegative, not {rank}"):
+            run_campaign(CampaignSpec(max_rank=rank, suites=("counts", "goldens")))
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match=f"torsion_samples must be positive, not {samples}"):
+            run_campaign(CampaignSpec(max_rank=1, suites=("torsion",), torsion_samples=samples))
     # a pool of no process, instead of a silent run in this one
     for jobs in (0, -2):
         with pytest.raises(ValueError, match=f"jobs must be positive, not {jobs}"):

@@ -1,10 +1,12 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from endokit import cli
+from endokit import campaign
+from endokit.campaign import DESCENT_LAWS, IDENTITY_LAWS, CampaignSpec, run_campaign
 from endokit.cli import main
 from endokit.descent import DescentScenario
 from endokit.endoscopy import EigenMultiset, EllipticDatumMeta
@@ -15,6 +17,25 @@ from endokit.rootsofunity import RootOfUnity
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def raise_not_commensurable(*args):
+    raise NotCommensurable("first group is not contained in the second")
+
+
+def report_records(max_rank: int) -> dict[str, list[dict]]:
+    """The records of a rank-``max_rank`` descent campaign's report, by
+    scenario, each scenario's in ``DESCENT_LAWS`` order."""
+    by_scenario: dict[str, dict[str, dict]] = {}
+    for rec in run_campaign(CampaignSpec(max_rank=max_rank, suites=("descent",))).records:
+        by_scenario.setdefault(rec.scenario, {})[rec.check] = rec.to_dict()
+    return {digest: [recs[law] for law in DESCENT_LAWS] for digest, recs in by_scenario.items()}
+
+
+def law_rows(output: str) -> list[dict]:
+    """The law rows of ``descend --format json``, each detail parsed back."""
+    rows = json.loads(output)
+    return [json.loads(r["detail"]) for r in rows if r["object"] in DESCENT_LAWS]
 
 
 @pytest.fixture
@@ -188,15 +209,15 @@ class TestDescendCommand:
         assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
 
     @pytest.mark.parametrize("check,law", [("compatibility_check", "sign-rule-vs-descent"), ("pushed_group_check", "pushed-group")])
-    def test_failed_twist_law_exits_one(self, runner, scenario_file, monkeypatch, check, law):
-        rows = json.loads(runner.invoke(main, ["descend", "--scenario", scenario_file, "--format", "json"]).output)
-        laws = {"sign-rule-vs-descent": True, "pushed-group": True}
-        assert [json.loads(r["detail"]) for r in rows if r["object"] == "twist-laws"] == [laws]
-        monkeypatch.setattr(cli, check, lambda *args: False)
-        result = runner.invoke(main, ["descend", "--scenario", scenario_file, "--format", "json"])
+    def test_failed_twist_law_exits_one(self, runner, monkeypatch, check, law):
+        """A twist law that fails shows as the report's failed record."""
+        monkeypatch.setattr(campaign, check, lambda *args: False)
+        at = list(DESCENT_LAWS).index(law)
+        digest, records = next((d, recs) for d, recs in report_records(2).items() if recs[at]["status"] == "fail")
+        result = runner.invoke(main, ["descend", "--digest", digest, "--format", "json"])
         assert result.exit_code == 1
-        rows = json.loads(result.output)
-        assert [json.loads(r["detail"]) for r in rows if r["object"] == "twist-laws"] == [{**laws, law: False}]
+        failed = [r for r in law_rows(result.output) if r["status"] == "fail"]
+        assert failed == [records[at]] == [r for r in records if r["status"] == "fail"]
 
     def test_bad_file_exits_three(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -221,14 +242,40 @@ class TestDescendCommand:
         both = ["descend", "--scenario", scenario_file, "--digest", "n1;b;s0.1;q3;g;p0/1;d0/1;spl;spl"]
         assert runner.invoke(main, both).exit_code == 2
 
-    def test_check_error_exits_three(self, runner, scenario_file, monkeypatch):
-        def failing(*args):
-            raise NotCommensurable("first group is not contained in the second")
+    def test_check_error_exits_one(self, runner, monkeypatch):
+        """An error in a check family fails its laws with the error as
+        witness, as in a campaign's report, and the command exits 1."""
+        monkeypatch.setattr(campaign, "verify_identities", raise_not_commensurable)
+        report = report_records(1)
+        # a scenario with entries, so that verify_identities is called
+        digest, records = next((d, recs) for d, recs in report.items() if recs[-1]["witness"] != {"e_natural": "0"})
+        result = runner.invoke(main, ["descend", "--digest", digest, "--format", "json"])
+        assert result.exit_code == 1
+        failed = [r for r in law_rows(result.output) if r["status"] == "fail"]
+        assert failed == [r for r in records if r["status"] == "fail"]
+        assert [r["check"] for r in failed] == list(IDENTITY_LAWS)
+        assert all(r["witness"] == {"error": "first group is not contained in the second"} for r in failed)
 
-        monkeypatch.setattr(cli, "verify_identities", failing)
-        result = runner.invoke(main, ["descend", "--scenario", scenario_file])
-        assert result.exit_code == 3
-        assert "domain error: first group is not contained" in result.output
+    @pytest.mark.parametrize("family", [None, "verify_identities", "Ambient"])
+    def test_replay_shows_the_report_records(self, runner, monkeypatch, family):
+        """For a seeded sample of rank-3 corpus scenarios, clean and with a
+        check family raising, ``descend --digest`` shows the records the
+        campaign's report holds for the scenario, in ``DESCENT_LAWS`` order,
+        and exits 1 exactly when one of them fails.  Entry rows show only
+        when the index set was built."""
+        if family is not None:
+            monkeypatch.setattr(campaign, family, raise_not_commensurable)
+        report = report_records(3)
+        codes = set()
+        for digest in random.Random(0).sample(sorted(report), 40 if family is None else 20):
+            records = report[digest]
+            result = runner.invoke(main, ["descend", "--digest", digest, "--format", "json"])
+            assert law_rows(result.output) == records
+            assert result.exit_code == any(r["status"] == "fail" for r in records)
+            shown = any(r["object"] == "index-set" for r in json.loads(result.output))
+            assert shown == (records[-1]["status"] == "pass")
+            codes.add(result.exit_code)
+        assert codes == {None: {0}, "verify_identities": {0, 1}, "Ambient": {1}}[family]
 
 
 class TestVerifyCommand:
@@ -287,6 +334,12 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--max-rank", "1", "--jobs", "0", "--suites", "descent"])
         assert result.exit_code == 2
         assert "jobs must be positive, not 0" in result.output
+
+    @pytest.mark.parametrize("rank", ["-1", "-3"])
+    def test_negative_max_rank_is_a_usage_error(self, runner, rank):
+        result = runner.invoke(main, ["verify", "--max-rank", rank, "--suites", "counts,goldens"])
+        assert result.exit_code == 2
+        assert f"max_rank must be nonnegative, not {rank}" in result.output
 
     def test_env_var_default_dir(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("ENDOKIT_OUT_DIR", str(tmp_path))

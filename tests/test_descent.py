@@ -18,14 +18,12 @@ from endokit.descent import (
     descend,
     eta_from_epsilon,
     gs_descended_types,
-    hypothesis_flags,
     is_self_inverse,
     neg_rep_exp,
     orbit_inverse,
     orbit_negate,
     orbit_of,
     pair_class_key,
-    sbar0_assign,
     sigma,
     validate_scenario,
 )
@@ -112,11 +110,6 @@ class TestValidation:
         bad = scenario(1, (1,), (0, 0), 4, (ms(ONE),), ms(ONE), ms(ONE))
         with pytest.raises(ScenarioValidationError, match="odd"):
             validate_scenario(bad)
-
-    def test_hypothesis_flags(self):
-        assert hypothesis_flags(MINIMAL) == (True, True)
-        ram = scenario(2, (), (0, 2), 3, (), ms(ONE), ms(MINUS, MINUS, ONE, MINUS, MINUS), "split", "ramified")
-        assert hypothesis_flags(ram) == (True, False)
 
     def test_roundtrip_json(self):
         text = UNITARY.to_json()
@@ -238,8 +231,7 @@ class TestOutcomeStructure:
 
     def test_base_point_signs(self):
         o = descend(UNITARY)
-        signs = sbar0_assign(o)
-        by_origin = {b.origin: signs[b.bid] for b in o.blocks}
+        by_origin = {b.origin: b.sbar0 for b in o.blocks}
         assert by_origin == {"levi": 1, "so2_dbl": -1}
 
     def test_pair_blocks_merge_homes(self):

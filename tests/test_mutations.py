@@ -10,7 +10,7 @@ same verdicts by another route, which its test records.
 
 from collections import Counter
 
-from endokit import campaign, indexsets, shape
+from endokit import ambient, campaign, enatural, indexsets, shape
 from endokit.ambient import Ambient
 from endokit.campaign import CampaignSpec, run_campaign
 
@@ -49,6 +49,64 @@ def test_wrongly_keyed_ambient_memo(monkeypatch):
         "section-inverts-pushforward",
         "entry-count",
     }
+
+
+def test_index_memo_keyed_by_first_group(monkeypatch):
+    """A memo of ``diag_index`` keyed by its first group alone hands the
+    index of one pair to every later pair with the same first group: the
+    coefficient laws fail."""
+    original = enatural.diag_index
+    memo = {}
+
+    def keyed_by_first(big, small):
+        if big not in memo:
+            memo[big] = original(big, small)
+        return memo[big]
+
+    monkeypatch.setattr(enatural, "diag_index", keyed_by_first)
+    assert failed_records(run_campaign(RANK3)) == {
+        "coefficient-ratio": 2159,
+        "final-identity": 2065,
+        "instable-coefficient": 456,
+        "stable-coefficient": 2198,
+    }
+
+
+def test_unitary_halves_share_an_atom(monkeypatch):
+    """A unitary slot's double-prime half given its prime half's atom, when
+    that half has one, leaves its own atom to no part: every law that reads
+    the index set fails on the scenarios with such a slot."""
+    layout = ambient.atom_layout
+
+    def shared(outcome):
+        n, bc, up, ud, pm = layout(outcome)
+        return n, bc, up, {eta: up[eta] or atoms for eta, atoms in ud.items()}, pm
+
+    monkeypatch.setattr(ambient, "atom_layout", shared)
+    twist_laws = ("sign-rule-vs-descent", "pushed-group")
+    assert failed_records(run_campaign(RANK3)) == {law: 62 for law in campaign.DESCENT_LAWS if law not in twist_laws}
+
+
+def test_empty_part_given_an_atom(monkeypatch):
+    """An empty x'/y'/x''/y'' part given an atom of its own puts a free G_m
+    into the torus: the volume and coefficient laws fail."""
+    layout = ambient.atom_layout
+
+    def every_part_an_atom(outcome):
+        n, bc, up, ud, pm = layout(outcome)
+        first = n - sum(len(atoms) for atoms in pm.values())  # the parts' atoms come last
+        return first + len(pm), bc, up, ud, {name: (first + i,) for i, name in enumerate(pm)}
+
+    monkeypatch.setattr(ambient, "atom_layout", every_part_an_atom)
+    laws = (
+        "center-product-law",
+        "coefficient-ratio",
+        "instable-coefficient",
+        "long-short-closed-form",
+        "stable-coefficient",
+        "transverse-volumes-match",
+    )
+    assert failed_records(run_campaign(RANK3)) == {**{law: 1682 for law in laws}, "final-identity": 2063}
 
 
 def test_degenerate_core_kept(monkeypatch):
