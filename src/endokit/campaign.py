@@ -455,29 +455,32 @@ def _scenario_pairs(scenarios: Iterable[DescentScenario], fault: str | None) -> 
             yield got.digest, got.verdicts
 
 
-def run_descent_suite(spec: CampaignSpec, records: list[Pair], jobs: int = 1) -> None:
-    scenarios = scenario_corpus(spec)
-    if jobs <= 1:
-        records.extend(_scenario_pairs(scenarios, spec.fault))
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    groups = [list(group) for _, group in itertools.groupby(scenarios, key=_levi_group)]
-    groups.sort(key=len, reverse=True)
-    if groups:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
-            for chunk in pool.map(_check_bucket_worker, [(group, spec.fault) for group in groups]):
-                records.extend(chunk)
+def run_descent_suite(spec: CampaignSpec, records: list[Pair]) -> None:
+    records.extend(_scenario_pairs(scenario_corpus(spec), spec.fault))
 
 
-def _check_bucket_worker(args: tuple[list[DescentScenario], str | None]) -> list[Pair]:
-    """A pool task: the ``(digest, verdicts)`` pairs of one ``(n, sizes)``
-    group.  Pickle's memo sends each distinct verdict tuple of it once."""
-    return list(_scenario_pairs(*args))
+def _descent_groups(spec: CampaignSpec) -> list[list[DescentScenario]]:
+    """The corpus's ``(n, sizes)`` groups, largest first; none without the descent suite."""
+    corpus = scenario_corpus(spec) if "descent" in spec.suites else ()
+    return sorted((list(group) for _, group in itertools.groupby(corpus, key=_levi_group)), key=len, reverse=True)
+
+
+def _check_bucket_worker(args: tuple[str, CampaignSpec, list[DescentScenario] | None]) -> tuple[list[Pair], float]:
+    """A pool task: the pairs of one suite, or of one ``(n, sizes)`` group of
+    the descent suite, and the task's wall time.  Pickle's memo sends each
+    distinct verdict tuple of it once."""
+    suite, spec, group = args
+    t0 = time.perf_counter()
+    pairs: list[Pair] = []
+    if group is None:
+        SUITE_RUNNERS[suite](spec, pairs)
+    else:
+        pairs.extend(_scenario_pairs(group, spec.fault))
+    return pairs, time.perf_counter() - t0
 
 
 # Every suite's runner by name, in the default order of ``SUITES``; each appends
-# its pairs to the list it is given, and the descent runner takes a pool size too.
+# its pairs to the list it is given.
 SUITE_RUNNERS = {
     "counts": run_counts_suite,
     "nonstandard": run_nonstandard_suite,
@@ -512,6 +515,12 @@ class CampaignSpec:
 
 
 def run_campaign(spec: CampaignSpec, jobs: int = 1) -> VerificationReport:
+    """The report of every suite of ``spec``, their pairs in suite order.  With
+    ``jobs > 1``, a pool of at most ``jobs`` processes, and of no more than its
+    tasks, runs each suite but ``descent`` as one task, ``torsion`` first, then
+    each descent ``(n, sizes)`` group as one, largest first.  A suite's timing
+    is its wall time, in a pool its task's in its worker; ``descent``'s runs
+    from its first group's submission to its last result."""
     for suite in spec.suites:
         if suite not in SUITE_RUNNERS:
             raise ValueError(f"unknown suite {suite!r}")
@@ -530,11 +539,30 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> VerificationReport:
         raise ValueError(f"jobs must be positive, not {jobs}")
     pairs: list[Pair] = []
     timings: dict[str, float] = {}
-    for suite in spec.suites:
-        t0 = time.time()
-        if suite == "descent":
-            run_descent_suite(spec, pairs, jobs)
-        else:
+    if jobs == 1:
+        for suite in spec.suites:
+            t0 = time.perf_counter()
             SUITE_RUNNERS[suite](spec, pairs)
-        timings[suite] = time.time() - t0
+            timings[suite] = time.perf_counter() - t0
+        return VerificationReport(spec, pairs, timings)
+    from concurrent.futures import ProcessPoolExecutor, wait
+
+    small = sorted((suite for suite in spec.suites if suite != "descent"), key=lambda suite: suite != "torsion")
+    # The pool forks its workers at its first task, so the corpus is built
+    # after that, unless the pool's size needs its group count.
+    groups = _descent_groups(spec) if jobs > len(small) else None
+    workers = jobs if groups is None else min(jobs, len(small) + len(groups))
+    if workers:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {suite: [pool.submit(_check_bucket_worker, (suite, spec, None))] for suite in small}
+            groups = _descent_groups(spec) if groups is None else groups
+            t0 = time.perf_counter()
+            futures["descent"] = [pool.submit(_check_bucket_worker, ("descent", spec, group)) for group in groups]
+            wait(futures["descent"])
+            descent_s = time.perf_counter() - t0
+            for suite in spec.suites:
+                for future in futures[suite]:
+                    got, took = future.result()
+                    pairs.extend(got)
+                timings[suite] = descent_s if suite == "descent" else took
     return VerificationReport(spec, pairs, timings)

@@ -356,7 +356,8 @@ main.add_command(descend_cmd, name="descend")
 @click.option("--q", "q_values", type=str, default="3,5,7", show_default=True)
 @click.option("--suites", type=str, default=",".join(SUITES), show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="processes in the pool; every suite is a task, the descent suite one task per (n, sizes) group")
 @click.option("--out", type=click.Path(), default=None, help="report path")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]), default="json")
 @click.option("--inject-fault", type=click.Choice(sorted(FAULTS)), default=None, hidden=True)

@@ -4,6 +4,7 @@ one store of ``(scenario, verdicts)`` pairs."""
 import ast
 import concurrent.futures
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -377,9 +378,12 @@ def test_each_levi_group_is_one_run_of_its_own_shapes(rank, fault):
 
 
 def test_pool_asks_for_no_more_workers_than_groups(monkeypatch):
-    """A stub executor, run in this process, stands in for the pool: rank 1
-    has two ``(n, sizes)`` groups, so ``jobs=8`` asks for two workers, and
-    the groups go out largest first."""
+    """A stub executor, run in this process, stands in for the pool: it asks
+    for ``min(jobs, tasks)`` workers, the small suites go out first,
+    ``torsion`` first of all, and the descent groups after them, largest
+    first.  Rank 1 has two ``(n, sizes)`` groups, so the seven suites make
+    eight tasks; ``jobs=2`` builds the corpus after the small suites went
+    out, ``jobs=16`` before the pool, to size it."""
     asked, tasks = [], []
 
     class StubExecutor:
@@ -392,16 +396,45 @@ def test_pool_asks_for_no_more_workers_than_groups(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args):
-            tasks.extend(args)
-            return map(fn, args)
+        def submit(self, fn, args):
+            tasks.append(args)
+            future = concurrent.futures.Future()
+            future.set_result(fn(args))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
-    spec = CampaignSpec(max_rank=1, suites=("descent",))
-    assert run_campaign(spec, jobs=8).pairs == run_campaign(spec).pairs
-    assert asked == [2]
-    sizes = [len(group) for group, _ in tasks]
-    assert len(sizes) == 2 and sizes == sorted(sizes, reverse=True)
+    every = CampaignSpec(max_rank=1, torsion_samples=5)
+    small_first = ["torsion", "counts", "nonstandard", "arthur-product", "diag-oracle", "goldens"]
+    for spec, jobs, workers, suites in [
+        (CampaignSpec(max_rank=1, suites=("descent",)), 8, 2, []),
+        (every, 2, 2, small_first),
+        (every, 16, 8, small_first),
+    ]:
+        asked.clear()
+        tasks.clear()
+        pooled, alone = run_campaign(spec, jobs=jobs), run_campaign(spec)
+        assert pooled.pairs == alone.pairs and pooled.body() == alone.body()
+        assert asked == [workers]
+        assert [suite for suite, _, _ in tasks] == suites + ["descent", "descent"]
+        assert all(group is None for _, _, group in tasks[: len(suites)])
+        sizes = [len(group) for _, _, group in tasks[len(suites):]]
+        assert sizes == sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize("suites", [campaign.SUITES, ("torsion", "diag-oracle")])
+def test_pool_matches_one_process_over_every_suite(suites):
+    """Every suite a pool task: the pairs, the body and the written JSON but
+    its ``timings`` are those of one process, and each suite is timed."""
+    spec = CampaignSpec(max_rank=2, suites=suites, torsion_samples=20)
+    written = []
+    for jobs in (1, 2):
+        rep = run_campaign(spec, jobs=jobs)
+        assert set(rep.timings) == set(suites)
+        out = io.StringIO()
+        rep.write(out, "json")
+        text = out.getvalue()
+        written.append((rep.pairs, rep.body(), text[: text.index('\n  "timings"')]))
+    assert written[0] == written[1]
 
 
 def test_pool_checks_each_shape_once(tmp_path, monkeypatch):

@@ -13,6 +13,8 @@ from collections import Counter
 from endokit import ambient, campaign, enatural, indexsets, shape
 from endokit.ambient import Ambient
 from endokit.campaign import CampaignSpec, run_campaign
+from endokit.corpus import scenario_corpus
+from endokit.descent import descend
 
 RANK3 = CampaignSpec(max_rank=3, suites=("descent",))
 
@@ -146,3 +148,62 @@ def test_identity_owner_order_is_equivalent(monkeypatch):
     got = run_campaign(RANK3)
     assert got.pairs == want.pairs and got.passed
     assert (classes, len(checked) - classes) == (1524, 1730)
+
+
+# Positions of two members in the part tuple that ``shape._block_part`` prints.
+PART_MEMBERS = {"sbar0": 5, "or_eps": 10}
+
+
+def drop_part_member(monkeypatch, member):
+    """``shape._block_part`` with ``member`` left out of every block's part."""
+    block_part, i = shape._block_part, PART_MEMBERS[member]
+
+    def dropped(outcome, b):
+        with monkeypatch.context() as m:
+            m.setattr(shape, "_text", lambda part: repr(part[:i] + part[i + 1:]))
+            return block_part(outcome, b)
+
+    monkeypatch.setattr(shape, "_block_part", dropped)
+
+
+def rank3_class_counts():
+    """The number of distinct ``outcome_shape`` keys of the rank-3 corpus,
+    clean and under ``corrupt-sbar0``."""
+    outcomes = [descend(sc) for sc in scenario_corpus(RANK3)]
+    clean = {shape.outcome_shape(o) for o in outcomes}
+    faulted = {shape.outcome_shape(campaign.FAULTS["corrupt-sbar0"](o)) for o in outcomes}
+    return len(clean), len(faulted)
+
+
+CORRUPT_SBAR0_FAILS = {
+    "instable-map-surjective": 765,
+    "pushed-group": 1601,
+    "sign-rule-vs-descent": 2617,
+    "stable-map-bijective": 1536,
+}
+
+
+def test_part_without_or_eps_fails_the_partition_pin(monkeypatch):
+    """A block part without its eps orientations merges rank-3 shape
+    classes: 1,499 keys instead of the pinned 1,524 of
+    ``CANONICAL_PARTITION`` (1,712 instead of 1,737 under
+    ``corrupt-sbar0``), which the pin and the brute-force partition of
+    ``test_canonical_key_matches_brute_force`` catch.  No law does: the
+    merged classes share their verdicts, so the failures stay those of
+    ``FAIL_COUNTS``."""
+    drop_part_member(monkeypatch, "or_eps")
+    assert rank3_class_counts() == (1499, 1712)
+    spec = CampaignSpec(max_rank=3, suites=("descent",), fault="corrupt-sbar0")
+    assert failed_records(run_campaign(spec)) == CORRUPT_SBAR0_FAILS
+
+
+def test_part_without_sbar0_is_equivalent(monkeypatch):
+    """An equivalent mutation: a block part without its base-point sign
+    keeps every rank-3 class apart, clean and under ``corrupt-sbar0``, since
+    the block's placements under the two constant twists carry the sign;
+    so the key partitions the corpus as before and the failures are those
+    of ``FAIL_COUNTS``."""
+    drop_part_member(monkeypatch, "sbar0")
+    assert rank3_class_counts() == (1524, 1737)
+    spec = CampaignSpec(max_rank=3, suites=("descent",), fault="corrupt-sbar0")
+    assert failed_records(run_campaign(spec)) == CORRUPT_SBAR0_FAILS
