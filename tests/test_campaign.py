@@ -421,7 +421,7 @@ def test_pool_asks_for_no_more_workers_than_groups(monkeypatch):
         assert sizes == sorted(sizes, reverse=True)
 
 
-@pytest.mark.parametrize("suites", [campaign.SUITES, ("torsion", "diag-oracle")])
+@pytest.mark.parametrize("suites", [campaign.SUITES, ("torsion", "diag-oracle")], ids=["all", "no-descent"])
 def test_pool_matches_one_process_over_every_suite(suites):
     """Every suite a pool task: the pairs, the body and the written JSON but
     its ``timings`` are those of one process, and each suite is timed."""
