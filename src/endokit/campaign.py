@@ -459,12 +459,6 @@ def run_descent_suite(spec: CampaignSpec, records: list[Pair]) -> None:
     records.extend(_scenario_pairs(scenario_corpus(spec), spec.fault))
 
 
-def _descent_groups(spec: CampaignSpec) -> list[list[DescentScenario]]:
-    """The corpus's ``(n, sizes)`` groups, largest first; none without the descent suite."""
-    corpus = scenario_corpus(spec) if "descent" in spec.suites else ()
-    return sorted((list(group) for _, group in itertools.groupby(corpus, key=_levi_group)), key=len, reverse=True)
-
-
 def _check_bucket_worker(args: tuple[str, CampaignSpec, list[DescentScenario] | None]) -> tuple[list[Pair], float]:
     """A pool task: the pairs of one suite, or of one ``(n, sizes)`` group of
     the descent suite, and the task's wall time.  Pickle's memo sends each
@@ -516,11 +510,11 @@ class CampaignSpec:
 
 def run_campaign(spec: CampaignSpec, jobs: int = 1) -> VerificationReport:
     """The report of every suite of ``spec``, their pairs in suite order.  With
-    ``jobs > 1``, a pool of at most ``jobs`` processes, and of no more than its
-    tasks, runs each suite but ``descent`` as one task, ``torsion`` first, then
-    each descent ``(n, sizes)`` group as one, largest first.  A suite's timing
-    is its wall time, in a pool its task's in its worker; ``descent``'s runs
-    from its first group's submission to its last result."""
+    ``jobs > 1`` and more than one task, a pool of ``min(jobs, tasks)``
+    processes runs each suite but ``descent`` as one task, ``torsion`` first,
+    then each descent ``(n, sizes)`` group as one, largest first.  A suite's
+    timing is its wall time, in a pool its task's in its worker; ``descent``'s
+    runs from its first group's submission to its last result."""
     for suite in spec.suites:
         if suite not in SUITE_RUNNERS:
             raise ValueError(f"unknown suite {suite!r}")
@@ -539,7 +533,11 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> VerificationReport:
         raise ValueError(f"jobs must be positive, not {jobs}")
     pairs: list[Pair] = []
     timings: dict[str, float] = {}
-    if jobs == 1:
+    small = sorted((suite for suite in spec.suites if suite != "descent"), key=lambda suite: suite != "torsion")
+    corpus = scenario_corpus(spec) if jobs > 1 and "descent" in spec.suites else ()
+    groups = sorted((list(group) for _, group in itertools.groupby(corpus, key=_levi_group)), key=len, reverse=True)
+    workers = min(jobs, len(small) + len(groups))
+    if workers < 2:
         for suite in spec.suites:
             t0 = time.perf_counter()
             SUITE_RUNNERS[suite](spec, pairs)
@@ -547,22 +545,15 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> VerificationReport:
         return VerificationReport(spec, pairs, timings)
     from concurrent.futures import ProcessPoolExecutor, wait
 
-    small = sorted((suite for suite in spec.suites if suite != "descent"), key=lambda suite: suite != "torsion")
-    # The pool forks its workers at its first task, so the corpus is built
-    # after that, unless the pool's size needs its group count.
-    groups = _descent_groups(spec) if jobs > len(small) else None
-    workers = jobs if groups is None else min(jobs, len(small) + len(groups))
-    if workers:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {suite: [pool.submit(_check_bucket_worker, (suite, spec, None))] for suite in small}
-            groups = _descent_groups(spec) if groups is None else groups
-            t0 = time.perf_counter()
-            futures["descent"] = [pool.submit(_check_bucket_worker, ("descent", spec, group)) for group in groups]
-            wait(futures["descent"])
-            descent_s = time.perf_counter() - t0
-            for suite in spec.suites:
-                for future in futures[suite]:
-                    got, took = future.result()
-                    pairs.extend(got)
-                timings[suite] = descent_s if suite == "descent" else took
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {suite: [pool.submit(_check_bucket_worker, (suite, spec, None))] for suite in small}
+        t0 = time.perf_counter()
+        futures["descent"] = [pool.submit(_check_bucket_worker, ("descent", spec, group)) for group in groups]
+        wait(futures["descent"])
+        descent_s = time.perf_counter() - t0
+        for suite in spec.suites:
+            for future in futures[suite]:
+                got, took = future.result()
+                pairs.extend(got)
+            timings[suite] = descent_s if suite == "descent" else took
     return VerificationReport(spec, pairs, timings)

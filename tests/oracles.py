@@ -11,7 +11,9 @@ Q/Z.  The matched Levi and the test for -1 are read only by tests, and so
 is the report's ``(scenario, verdicts)`` pair of a lone ``CheckRecord``.
 The shape of an outcome in its own block order, and the least such shape
 over every order of its equal-size Levi owners, each outcome re-rendered in
-full, are the slow path of the shape cache's canonical key.
+full, are the slow path of the shape cache's canonical key.  The rank-3
+corpus's post-fault outcomes, and the laws each fault fails on it, are
+shared by the campaign and mutation tests.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 from endokit.ambient import GEtaLevi, eta_orientation
+from endokit.campaign import FAULTS, CampaignSpec
 from endokit.catalog import GroupType, gl, so_even, so_odd, sp, u
-from endokit.descent import gs_descended_types, placement, placement_independent
+from endokit.corpus import scenario_corpus
+from endokit.descent import descend, gs_descended_types, placement, placement_independent
 from endokit.indexsets import eps_orientation
 from endokit.lattices import DiagSubgroup, IntLattice
 from endokit.rootsofunity import RootOfUnity
@@ -455,6 +459,28 @@ def sc_is_minus_one(x) -> bool:
     if isinstance(x, RootOfUnity):
         return x.is_minus_one
     return x == -1
+
+
+# The laws each fault fails on the rank-3 corpus, with their failing
+# scenario counts.  Each fault fails some (law, scenario) pair no other
+# fault fails.
+FAIL_COUNTS = {
+    None: {},
+    "corrupt-sbar0": {
+        "instable-map-surjective": 765,
+        "pushed-group": 1601,
+        "sign-rule-vs-descent": 2617,
+        "stable-map-bijective": 1536,
+    },
+    "shift-prime-rank": {"pushed-group": 801, "stable-map-bijective": 42},
+    "pull-levi-block": {"instable-fiber-law": 1569, "pushed-group": 1361},
+}
+
+
+def rank3_outcomes(fault):
+    """The post-fault outcome of every scenario of the rank-3 corpus."""
+    outcomes = [descend(sc) for sc in scenario_corpus(CampaignSpec(max_rank=3))]
+    return [FAULTS[fault](o) for o in outcomes] if fault else outcomes
 
 
 def record_pairs(records) -> list:

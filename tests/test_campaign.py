@@ -31,7 +31,15 @@ from endokit.descent import DescentScenario, descend
 from endokit.errors import EndokitError, NotCommensurable
 from endokit.report import CheckRecord, VerificationReport
 from endokit.shape import ShapeCache, outcome_shape
-from oracles import brute_canonical_shape, owner_orders, permuted_outcome, raw_shape, record_pairs
+from oracles import (
+    FAIL_COUNTS,
+    brute_canonical_shape,
+    owner_orders,
+    permuted_outcome,
+    rank3_outcomes,
+    raw_shape,
+    record_pairs,
+)
 
 
 # sha256 of the rank-3 descent campaign's checks, json.dumps(indent=2,
@@ -42,28 +50,6 @@ CHECKS_SHA256 = {
     "shift-prime-rank": "d5bc5e2cfea7bf76d25f397b23ceecea08fc0f91240ba97bb286d000f945909d",
     "pull-levi-block": "9c31600ea144d19887f0343f97650d5a1afebdd04f8d8381adaa93c3eea09a91",
 }
-# The laws each fault fails on the rank-3 corpus, with their failing
-# scenario counts.  Each fault fails some (law, scenario) pair no other
-# fault fails.
-FAIL_COUNTS = {
-    None: {},
-    "corrupt-sbar0": {
-        "instable-map-surjective": 765,
-        "pushed-group": 1601,
-        "sign-rule-vs-descent": 2617,
-        "stable-map-bijective": 1536,
-    },
-    "shift-prime-rank": {"pushed-group": 801, "stable-map-bijective": 42},
-    "pull-levi-block": {"instable-fiber-law": 1569, "pushed-group": 1361},
-}
-
-
-def rank3_outcomes(fault):
-    """The post-fault outcome of every scenario of the rank-3 corpus."""
-    outcomes = [descend(sc) for sc in scenario_corpus(CampaignSpec(max_rank=3))]
-    return [FAULTS[fault](o) for o in outcomes] if fault else outcomes
-
-
 @pytest.mark.parametrize("fault", [None, *FAULTS])
 def test_shape_cache_matches_uncached_checks(fault):
     """Every scenario of the rank-3 corpus: the campaign's records, which
@@ -382,8 +368,7 @@ def test_pool_asks_for_no_more_workers_than_groups(monkeypatch):
     for ``min(jobs, tasks)`` workers, the small suites go out first,
     ``torsion`` first of all, and the descent groups after them, largest
     first.  Rank 1 has two ``(n, sizes)`` groups, so the seven suites make
-    eight tasks; ``jobs=2`` builds the corpus after the small suites went
-    out, ``jobs=16`` before the pool, to size it."""
+    eight tasks; a campaign of one task runs in this process, with no pool."""
     asked, tasks = [], []
 
     class StubExecutor:
@@ -406,26 +391,32 @@ def test_pool_asks_for_no_more_workers_than_groups(monkeypatch):
     every = CampaignSpec(max_rank=1, torsion_samples=5)
     small_first = ["torsion", "counts", "nonstandard", "arthur-product", "diag-oracle", "goldens"]
     for spec, jobs, workers, suites in [
-        (CampaignSpec(max_rank=1, suites=("descent",)), 8, 2, []),
-        (every, 2, 2, small_first),
-        (every, 16, 8, small_first),
+        (CampaignSpec(max_rank=1, suites=("descent",)), 8, [2], ["descent"] * 2),
+        (every, 2, [2], small_first + ["descent"] * 2),
+        (every, 16, [8], small_first + ["descent"] * 2),
+        (CampaignSpec(max_rank=1, suites=("torsion",), torsion_samples=5), 2, [], []),
     ]:
         asked.clear()
         tasks.clear()
         pooled, alone = run_campaign(spec, jobs=jobs), run_campaign(spec)
         assert pooled.pairs == alone.pairs and pooled.body() == alone.body()
-        assert asked == [workers]
-        assert [suite for suite, _, _ in tasks] == suites + ["descent", "descent"]
-        assert all(group is None for _, _, group in tasks[: len(suites)])
-        sizes = [len(group) for _, _, group in tasks[len(suites):]]
+        assert asked == workers
+        assert [suite for suite, _, _ in tasks] == suites
+        assert all((group is None) == (suite != "descent") for suite, _, group in tasks)
+        sizes = [len(group) for _, _, group in tasks if group is not None]
         assert sizes == sorted(sizes, reverse=True)
 
 
-@pytest.mark.parametrize("suites", [campaign.SUITES, ("torsion", "diag-oracle")], ids=["all", "no-descent"])
-def test_pool_matches_one_process_over_every_suite(suites):
+@pytest.mark.parametrize(
+    "max_rank,suites",
+    [(2, campaign.SUITES), (2, ("torsion", "diag-oracle")), (0, ("descent",))],
+    ids=["all", "no-descent", "empty-descent"],
+)
+def test_pool_matches_one_process_over_every_suite(max_rank, suites):
     """Every suite a pool task: the pairs, the body and the written JSON but
-    its ``timings`` are those of one process, and each suite is timed."""
-    spec = CampaignSpec(max_rank=2, suites=suites, torsion_samples=20)
+    its ``timings`` are those of one process, and each suite is timed, also
+    the descent suite of an empty corpus."""
+    spec = CampaignSpec(max_rank=max_rank, suites=suites, torsion_samples=20)
     written = []
     for jobs in (1, 2):
         rep = run_campaign(spec, jobs=jobs)

@@ -13,8 +13,7 @@ from collections import Counter
 from endokit import ambient, campaign, enatural, indexsets, shape
 from endokit.ambient import Ambient
 from endokit.campaign import CampaignSpec, run_campaign
-from endokit.corpus import scenario_corpus
-from endokit.descent import descend
+from oracles import FAIL_COUNTS, rank3_outcomes
 
 RANK3 = CampaignSpec(max_rank=3, suites=("descent",))
 
@@ -169,18 +168,7 @@ def drop_part_member(monkeypatch, member):
 def rank3_class_counts():
     """The number of distinct ``outcome_shape`` keys of the rank-3 corpus,
     clean and under ``corrupt-sbar0``."""
-    outcomes = [descend(sc) for sc in scenario_corpus(RANK3)]
-    clean = {shape.outcome_shape(o) for o in outcomes}
-    faulted = {shape.outcome_shape(campaign.FAULTS["corrupt-sbar0"](o)) for o in outcomes}
-    return len(clean), len(faulted)
-
-
-CORRUPT_SBAR0_FAILS = {
-    "instable-map-surjective": 765,
-    "pushed-group": 1601,
-    "sign-rule-vs-descent": 2617,
-    "stable-map-bijective": 1536,
-}
+    return tuple(len({shape.outcome_shape(o) for o in rank3_outcomes(f)}) for f in (None, "corrupt-sbar0"))
 
 
 def test_part_without_or_eps_fails_the_partition_pin(monkeypatch):
@@ -194,7 +182,7 @@ def test_part_without_or_eps_fails_the_partition_pin(monkeypatch):
     drop_part_member(monkeypatch, "or_eps")
     assert rank3_class_counts() == (1499, 1712)
     spec = CampaignSpec(max_rank=3, suites=("descent",), fault="corrupt-sbar0")
-    assert failed_records(run_campaign(spec)) == CORRUPT_SBAR0_FAILS
+    assert failed_records(run_campaign(spec)) == FAIL_COUNTS["corrupt-sbar0"]
 
 
 def test_part_without_sbar0_is_equivalent(monkeypatch):
@@ -206,4 +194,4 @@ def test_part_without_sbar0_is_equivalent(monkeypatch):
     drop_part_member(monkeypatch, "sbar0")
     assert rank3_class_counts() == (1524, 1737)
     spec = CampaignSpec(max_rank=3, suites=("descent",), fault="corrupt-sbar0")
-    assert failed_records(run_campaign(spec)) == CORRUPT_SBAR0_FAILS
+    assert failed_records(run_campaign(spec)) == FAIL_COUNTS["corrupt-sbar0"]
