@@ -15,12 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmbeddingInvalid, LayoutMismatch, UnsupportedFactor
+from .errors import LayoutMismatch, UnsupportedFactor
 from .lattices import DiagSubgroup, IntLattice
-from .qspaces import QSubspace
 
 FORM_CLASSES = ("split", "unram_nonsplit", "ramified")
 _KIND_ORDER = {"gl": 0, "u": 1, "sp": 2, "so_odd": 3, "so_even": 4}
@@ -71,20 +69,6 @@ class FactorType:
     @property
     def is_trivial(self) -> bool:
         return self.kind in ("sp", "so_odd", "so_even") and self.rank == 0
-
-    @property
-    def a_rank(self) -> int:
-        """Rank of the maximal split central torus.
-
-        GL factors contribute 1 (restriction of scalars included); the even
-        orthogonal group of rank one with split form is itself a split torus
-        and also contributes 1.  Everything else contributes 0.
-        """
-        if self.kind == "gl":
-            return 1
-        if self.kind == "so_even" and self.rank == 1 and self.form_class == "split":
-            return 1
-        return 0
 
     @property
     def center_tags(self) -> tuple[str, str]:
@@ -282,37 +266,9 @@ def dual_center(g: GroupType, layout: CoordinateLayout) -> tuple[DiagSubgroup, D
     return _dual_centers(layout.ambient_rank, parts)
 
 
-# ---------------------------------------------------------------------------
-# split-center spaces
-
-
-def a_dimension(g: GroupType) -> int:
-    """Dimension of the split-central-character space of the group."""
-    return sum(f.a_rank for f in g.factors)
-
-
-def a_space(g: GroupType, layout: CoordinateLayout) -> QSubspace:
-    """Split-center space realized inside the ambient, one block-sum per GL."""
-    if len(layout.blocks) != len(g.factors):
-        raise LayoutMismatch("layout must have one block per factor")
-    vecs = []
-    for idx, f in enumerate(g.factors):
-        if f.a_rank:
-            v = [0] * layout.ambient_rank
-            for c in layout.coords(idx):
-                v[c] = 1
-            vecs.append(v)
-    return QSubspace.span(layout.ambient_rank, vecs)
-
-
 def bar(g: GroupType) -> GroupType:
     """Swap every split odd orthogonal factor for its symplectic partner."""
     return GroupType(tuple(sp(f.rank) if f.kind == "so_odd" else f for f in g.factors))
-
-
-def unbar(g: GroupType) -> GroupType:
-    """Inverse of :func:`bar`: symplectic factors become odd orthogonal."""
-    return GroupType(tuple(so_odd(f.rank) if f.kind == "sp" else f for f in g.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -449,110 +405,6 @@ def levi_enumerate(g: GroupType, layout: CoordinateLayout | None = None) -> tupl
         levi = GroupType(tuple(f for f, _ in parts))
         out.append(EmbeddedLevi(g, levi, tuple(parts)))
     return tuple(out)
-
-
-def levis_containing(g: GroupType, r: EmbeddedLevi) -> tuple[EmbeddedLevi, ...]:
-    """Levi classes of ``g`` that contain the class of ``r`` blockwise."""
-    if r.parent != g:
-        raise EmbeddingInvalid("the embedded Levi does not live in this group")
-    out = []
-    r_sizes_per_factor = _pieces_by_parent(g, r)
-    for cand in levi_enumerate(g):
-        c_per_factor = _pieces_by_parent(g, cand)
-        ok = True
-        for (r_sizes, r_core), (c_sizes, c_core) in zip(r_sizes_per_factor, c_per_factor):
-            if not _refines(r_sizes, r_core, c_sizes, c_core):
-                ok = False
-                break
-        if ok:
-            out.append(cand)
-    return tuple(out)
-
-
-def _pieces_by_parent(g: GroupType, e: EmbeddedLevi) -> list[tuple[tuple[int, ...], int]]:
-    """Per parent factor: (GL piece sizes, core rank)."""
-    layout = layout_for(g)
-    spans = [set(layout.coords(i)) for i in range(len(g.factors))]
-    acc: list[tuple[list[int], list[int]]] = [([], []) for _ in g.factors]
-    for f, coords in e.parts:
-        if not coords:
-            continue
-        owner = next(i for i, s in enumerate(spans) if coords[0] in s)
-        if f.kind == "gl":
-            acc[owner][0].append(f.rank)
-        else:
-            acc[owner][1].append(f.rank)
-    result = []
-    for sizes, cores in acc:
-        result.append((tuple(sorted(sizes, reverse=True)), cores[0] if cores else 0))
-    return result
-
-
-def _refines(r_sizes: tuple[int, ...], r_core: int, c_sizes: tuple[int, ...], c_core: int) -> bool:
-    """Whether blocks (r_sizes, core r_core) can group into (c_sizes, c_core)."""
-    if r_core > c_core:
-        return False
-
-    def rec(pool: tuple[int, ...], targets: tuple[int, ...]) -> bool:
-        if not targets:
-            return sum(pool) == c_core - r_core
-        t = targets[0]
-        tried = set()
-
-        def choose(start: int, total: int, used: tuple[int, ...]) -> bool:
-            if total == t:
-                rest = list(pool)
-                for k in sorted(used, reverse=True):
-                    rest.pop(k)
-                key = tuple(rest)
-                if key in tried:
-                    return False
-                tried.add(key)
-                return rec(tuple(rest), targets[1:])
-            if total > t:
-                return False
-            for k in range(start, len(pool)):
-                if total + pool[k] <= t and choose(k + 1, total + pool[k], used + (k,)):
-                    return True
-            return False
-
-        return choose(0, 0, ())
-
-    return rec(r_sizes, c_sizes)
-
-
-# ---------------------------------------------------------------------------
-# relative Weyl orders and ramification
-
-
-def weyl_relative_order(g: GroupType, levi: LeviDatum) -> int:
-    """Order of the relative Weyl group of a Levi class in Sp or odd SO.
-
-    Sign flips act on every GL block; permutations only move blocks of equal
-    size (the normalizer preserves block sizes).
-    """
-    if g.is_trivial:
-        if levi.rank != 0:
-            raise EmbeddingInvalid("Levi datum rank does not match the group")
-        return 1
-    if len(g.factors) != 1 or g.factors[0].kind not in ("sp", "so_odd"):
-        raise UnsupportedFactor("relative Weyl orders are defined for Sp and odd SO ambients")
-    if levi.rank != g.factors[0].rank:
-        raise EmbeddingInvalid("Levi datum rank does not match the group")
-    order = 2 ** len(levi.sizes)
-    for size in set(levi.sizes):
-        order *= factorial(levi.sizes.count(size))
-    return order
-
-
-def is_unramified(g: GroupType) -> bool:
-    """No factor touches a ramified extension or a ramified quadratic form."""
-    for f in g.factors:
-        if f.kind in ("gl", "u") and f.ramified:
-            return False
-        if f.kind == "so_even" and f.form_class == "ramified":
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .catalog import FORM_CLASSES, FactorType, GroupType, bar, gl, so_even, so_odd, sp, u
-from .endoscopy import EigenMultiset, EllipticDatumMeta, correspond_mu
+from .endoscopy import EigenMultiset, EllipticDatumMeta
 from .errors import InvariantViolation, MatchingFailure, ScenarioValidationError
 from .rootsofunity import RootOfUnity
 
@@ -340,16 +340,6 @@ def validate_scenario(sc: DescentScenario) -> DescentScenario:
 # centralizer types
 
 
-def centralizer_type(
-    ms: EigenMultiset, q: int, kind: str, form_tag_minus: str = "split"
-) -> GroupType:
-    """Centralizer type of an element with the given eigenvalue multiset.
-
-    ``kind`` is "symplectic", "odd_orthogonal" or "gl"."""
-    L = exponent_modulus((ms,))
-    return GroupType(_centralizer_factors_counts(_exponent_counts(ms, L), L, q, kind, form_tag_minus))
-
-
 def _centralizer_factors_counts(
     counts: dict[int, int], L: int, q: int, kind: str, form_tag_minus: str = "split"
 ) -> tuple[FactorType, ...]:
@@ -393,13 +383,6 @@ def _centralizer_factors_counts(
                     seen_pairs.add(key)
                     out.append(gl(mult, len(orb)))
     return tuple(out)
-
-
-def eta_from_epsilon(sc: DescentScenario) -> tuple[tuple[EigenMultiset, ...], EigenMultiset]:
-    """Eigenvalue data of the matched element: GL blocks copied, symplectic
-    part obtained from the class correspondence."""
-    sp_part = correspond_mu(sc.eps_prime, sc.eps_dblprime, sc.s0)
-    return sc.eps_gl, sp_part
 
 
 # ---------------------------------------------------------------------------

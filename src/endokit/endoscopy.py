@@ -19,7 +19,6 @@ from .catalog import (
     FactorType,
     GroupType,
     LeviDatum,
-    a_dimension,
     diag_center,
     gl,
     so_even,
@@ -27,7 +26,7 @@ from .catalog import (
     sp,
     u,
 )
-from .errors import InvalidSemisimpleProfile, InvariantViolation, UnsupportedFactor
+from .errors import InvariantViolation, UnsupportedFactor
 from .lattices import DiagSubgroup, diag_index
 from .rootsofunity import (
     MINUS_ONE_KEYS,
@@ -247,10 +246,6 @@ class ZTorsion:
             ms.negate() if z == -1 else ms for ms, z in zip(gl_blocks, self.signs)
         )
 
-    @property
-    def is_identity(self) -> bool:
-        return all(z == 1 for z in self.signs)
-
 
 def z_torsion(s: SElement) -> ZTorsion:
     return ZTorsion(s.signs)
@@ -393,22 +388,6 @@ class SpEllipticDatum:
         return self.m_prime + self.even_rank
 
 
-def sp_elliptic_data(m: int) -> tuple[SpEllipticDatum, ...]:
-    out = []
-    for mp in range(m, -1, -1):
-        me = m - mp
-        if me == 0:
-            out.append(SpEllipticDatum(mp, 0))
-        elif me == 1:
-            out.append(SpEllipticDatum(mp, 1, "unram_nonsplit"))
-            out.append(SpEllipticDatum(mp, 1, "ramified"))
-        else:
-            out.append(SpEllipticDatum(mp, me, "split"))
-            out.append(SpEllipticDatum(mp, me, "unram_nonsplit"))
-            out.append(SpEllipticDatum(mp, me, "ramified"))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class UEllipticDatum:
     """Elliptic datum of a unitary factor: an unordered splitting of the rank."""
@@ -427,46 +406,6 @@ class UEllipticDatum:
     @property
     def total(self) -> int:
         return self.m_prime + self.m_dblprime
-
-
-def u_elliptic_data(m: int) -> tuple[UEllipticDatum, ...]:
-    return tuple(UEllipticDatum(m - k, k) for k in range(m // 2 + 1))
-
-
-# ---------------------------------------------------------------------------
-# normal form of a general datum
-
-
-@dataclass(frozen=True)
-class SemisimpleProfile:
-    """Eigenvalue profile of a dual element: labels plus +-1 multiplicities.
-
-    Each label stands for one inverse-pair of eigenvalues distinct from +-1;
-    distinct labels are assumed pairwise distinct and non-inverse.
-    """
-
-    label_mults: tuple[int, ...]
-    plus_pairs: int
-    minus_pairs: int
-
-    def __post_init__(self) -> None:
-        if any(k < 1 for k in self.label_mults):
-            raise InvalidSemisimpleProfile("label multiplicities must be >= 1")
-        if self.plus_pairs < 0 or self.minus_pairs < 0:
-            raise InvalidSemisimpleProfile("pair counts must be nonnegative")
-
-    @property
-    def rank(self) -> int:
-        return sum(self.label_mults) + self.plus_pairs + self.minus_pairs
-
-
-def datum_to_levi(profile: SemisimpleProfile) -> tuple[LeviDatum, EllipticDatumMeta]:
-    """Unique Levi class and elliptic datum inducing the given profile."""
-    m = profile.plus_pairs + profile.minus_pairs
-    return (
-        LeviDatum(profile.label_mults, m),
-        EllipticDatumMeta(profile.plus_pairs, profile.minus_pairs),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -539,18 +478,6 @@ def arthur_L_of_s(config: ArthurConfig, dbl_side: frozenset[int]) -> GroupType:
     n_d = d.m_dblprime + 2 * s_d
     deg, ram = config.ambient.degree, config.ambient.ramified
     return GroupType.of(*(u(x, deg, ram) for x in (n_p, n_d) if x))
-
-
-def e_set_arthur(config: ArthurConfig) -> tuple[frozenset[int], ...]:
-    """Side choices whose attached datum for the ambient stays elliptic."""
-    ambient_a = a_dimension(GroupType.of(config.ambient))
-    out = []
-    for r in range(len(config.block_sizes) + 1):
-        for combo in itertools.combinations(range(len(config.block_sizes)), r):
-            cand = frozenset(combo)
-            if a_dimension(arthur_L_of_s(config, cand)) == ambient_a:
-                out.append(cand)
-    return tuple(out)
 
 
 def i_standard(config: ArthurConfig, dbl_side: frozenset[int]) -> Fraction:

@@ -23,16 +23,8 @@ class LayoutMismatch(EndokitError):
     """A coordinate layout does not cover the group it is paired with."""
 
 
-class EmbeddingInvalid(EndokitError):
-    """A claimed Levi embedding is not a refinement of the ambient group."""
-
-
 class InvariantViolation(EndokitError):
     """Input data violates a structural invariant (parity, closure, ...)."""
-
-
-class InvalidSemisimpleProfile(EndokitError):
-    """An eigenvalue profile does not define a semisimple dual element."""
 
 
 class MatchingFailure(EndokitError):

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable, Sequence
 
 from . import _intlinalg as la
@@ -116,18 +115,6 @@ def _hermite_basis(generators: tuple[tuple[int, ...], ...], ambient_rank: int) -
     return la.hnf_rows(generators, ambient_rank)
 
 
-def smith_form(
-    rows: Sequence[Sequence[int]], ncols: int
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Smith normal form of an integer matrix.
-
-    Returns (d, u, v) with u @ rows @ v diagonal with diagonal d (full length
-    min(m, n), divisibility chain, zeros trailing) and u, v unimodular.
-    """
-    d, u, v = la.snf_with_transforms(rows, ncols)
-    return tuple(d), tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
-
-
 def _pivot_product(lat: IntLattice) -> tuple[tuple[int, ...], int]:
     """(pivot columns, product of pivots) of the canonical basis.
 
@@ -217,44 +204,6 @@ class DiagSubgroup:
     @staticmethod
     def trivial(n: int) -> "DiagSubgroup":
         return DiagSubgroup(n, IntLattice.full(n))
-
-    @staticmethod
-    def from_generators(
-        ambient_rank: int,
-        finite_generators: Iterable[Sequence[Fraction]] = (),
-        torus_generators: Iterable[Sequence[int]] = (),
-    ) -> "DiagSubgroup":
-        """Subgroup generated by finite elements and one-parameter subgroups.
-
-        A finite element is given by its exponent vector x in (Q/Z)^N, the
-        point (e^{2 pi i x_1}, ...).  A torus generator is a cocharacter
-        w in Z^N, contributing {(t^{w_1}, ..., t^{w_N})}.
-        """
-        fgs = [[Fraction(x) for x in g] for g in finite_generators]
-        tgs = [[int(x) for x in g] for g in torus_generators]
-        for g in fgs + tgs:
-            if len(g) != ambient_rank:
-                raise AmbientMismatch("generator length does not match ambient rank")
-        neq = len(fgs) + len(tgs)
-        if neq == 0:
-            return DiagSubgroup.full_torus(ambient_rank)
-        mods = [lcm(*(x.denominator for x in g)) for g in fgs]
-        # chi vanishes iff chi . (D_k g_k) == 0 mod D_k for each finite
-        # generator and chi . w == 0 for each torus generator.  Introduce one
-        # integer slack per congruence; unknowns are (chi, slacks), one row
-        # per unknown, one column per equation.
-        sys_rows: list[list[int]] = []
-        for c in range(ambient_rank):
-            row = [int(g[c] * mods[k]) for k, g in enumerate(fgs)]
-            row += [w[c] for w in tgs]
-            sys_rows.append(row)
-        for k, den in enumerate(mods):
-            row = [0] * neq
-            row[k] = den
-            sys_rows.append(row)
-        ker = la.left_kernel(sys_rows, neq)
-        chars = [k[:ambient_rank] for k in ker]
-        return DiagSubgroup.from_vanishing(ambient_rank, chars)
 
     # -- structure ----------------------------------------------------------
 

@@ -118,19 +118,6 @@ class QForm:
     def dim(self) -> int:
         return len(self.gram)
 
-    def inner(self, v: Sequence, w: Sequence) -> Fraction:
-        vv, ww = _vec(v), _vec(w)
-        n = self.dim
-        if len(vv) != n or len(ww) != n:
-            raise AmbientMismatch("vector length does not match the form")
-        total = Fraction(0)
-        for i in range(n):
-            if vv[i] == 0:
-                continue
-            row = self.gram[i]
-            total += vv[i] * sum((row[j] * ww[j] for j in range(n) if ww[j] != 0), Fraction(0))
-        return total
-
     @cached_property
     def _scaled_gram(self) -> tuple[IntVec, ...]:
         """The gram matrix times the lcm of its denominators.

@@ -9,6 +9,10 @@ centralizer of a general twist (symbolic labels alongside signs) from the
 sign algebra alone, and the Frobenius orbits of exponents as Fractions in
 Q/Z.  The matched Levi and the test for -1 are read only by tests, and so
 is the report's ``(scenario, verdicts)`` pair of a lone ``CheckRecord``.
+So are three pieces of the paper's data that no suite reads: the elliptic
+data of a symplectic or unitary factor, which the index-ratio sweeps run
+over, and the relative Weyl order of a Levi class in Sp or odd SO.  The
+sweeps and their pins are shared by the endoscopy and mutation tests.
 The shape of an outcome in its own block order, and the least such shape
 over every order of its equal-size Levi owners, each outcome re-rendered in
 full, are the slow path of the shape cache's canonical key.  The rank-3
@@ -18,15 +22,19 @@ shared by the campaign and mutation tests.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 
 from endokit.ambient import GEtaLevi, eta_orientation
 from endokit.campaign import FAULTS, CampaignSpec
-from endokit.catalog import GroupType, gl, so_even, so_odd, sp, u
+from endokit.catalog import GroupType, LeviDatum, gl, levi_data, so_even, so_odd, sp, u
 from endokit.corpus import scenario_corpus
 from endokit.descent import descend, gs_descended_types, placement, placement_independent
+from endokit.endoscopy import ArthurConfig, SpEllipticDatum, UEllipticDatum, e_set, elliptic_data_meta, i_meta, i_standard
+from endokit.errors import UnsupportedFactor
 from endokit.indexsets import eps_orientation
 from endokit.lattices import DiagSubgroup, IntLattice
 from endokit.rootsofunity import RootOfUnity
@@ -459,6 +467,100 @@ def sc_is_minus_one(x) -> bool:
     if isinstance(x, RootOfUnity):
         return x.is_minus_one
     return x == -1
+
+
+# ---------------------------------------------------------------------------
+# paper data that no suite reads: the elliptic data of a symplectic or unitary
+# factor, which drive the index-ratio sweeps, and relative Weyl orders
+
+
+def sp_elliptic_data(m: int) -> tuple[SpEllipticDatum, ...]:
+    out = []
+    for mp in range(m, -1, -1):
+        me = m - mp
+        if me == 0:
+            out.append(SpEllipticDatum(mp, 0))
+        elif me == 1:
+            out.append(SpEllipticDatum(mp, 1, "unram_nonsplit"))
+            out.append(SpEllipticDatum(mp, 1, "ramified"))
+        else:
+            out.append(SpEllipticDatum(mp, me, "split"))
+            out.append(SpEllipticDatum(mp, me, "unram_nonsplit"))
+            out.append(SpEllipticDatum(mp, me, "ramified"))
+    return tuple(out)
+
+
+def u_elliptic_data(m: int) -> tuple[UEllipticDatum, ...]:
+    return tuple(UEllipticDatum(m - k, k) for k in range(m // 2 + 1))
+
+
+def weyl_relative_order(g: GroupType, levi: LeviDatum) -> int:
+    """Order of the relative Weyl group of a Levi class in Sp or odd SO.
+
+    Sign flips act on every GL block; permutations only move blocks of equal
+    size (the normalizer preserves block sizes).
+    """
+    if g.is_trivial:
+        if levi.rank != 0:
+            raise ValueError("Levi datum rank does not match the group")
+        return 1
+    if len(g.factors) != 1 or g.factors[0].kind not in ("sp", "so_odd"):
+        raise UnsupportedFactor("relative Weyl orders are defined for Sp and odd SO ambients")
+    if levi.rank != g.factors[0].rank:
+        raise ValueError("Levi datum rank does not match the group")
+    order = 2 ** len(levi.sizes)
+    for size in set(levi.sizes):
+        order *= factorial(levi.sizes.count(size))
+    return order
+
+
+def _side_choices(k):
+    return [frozenset(c) for r in range(k + 1) for c in itertools.combinations(range(k), r)]
+
+
+def _i_meta_sweep():
+    """i_meta over every (Levi, base datum, sign vector) of rank <= 5."""
+    for n in range(6):
+        for levi in levi_data(n):
+            for s0 in elliptic_data_meta(levi.remainder):
+                for s in e_set(levi, s0):
+                    yield i_meta(levi, s0, s)
+
+
+def _i_standard_sp_sweep():
+    """i_standard over every symplectic config of rank <= 5, every side choice."""
+    for n in range(1, 6):
+        for levi in levi_data(n):
+            for datum in sp_elliptic_data(levi.remainder):
+                cfg = ArthurConfig(sp(n), levi.sizes, sp_datum=datum)
+                for side in _side_choices(levi.block_count):
+                    yield i_standard(cfg, side)
+
+
+def _i_standard_u_sweep():
+    """i_standard over every unitary config of rank <= 6, at degree 1 and 2,
+    ramified and not, every side choice."""
+    for n, degree, ramified in itertools.product(range(1, 7), (1, 2), (False, True)):
+        for levi in levi_data(n // 2):
+            for datum in u_elliptic_data(n - 2 * sum(levi.sizes)):
+                cfg = ArthurConfig(u(n, degree, ramified), levi.sizes, u_datum=datum)
+                for side in _side_choices(levi.block_count):
+                    yield i_standard(cfg, side)
+
+
+# Count and sha256 of each sweep's values, one ``str`` per line, in sweep
+# order.  They pin the index ratios across any rewrite of their centers.
+INDEX_SWEEPS = {
+    "i_meta": (_i_meta_sweep, 371, "3f7b5f0cf24920bad9e20b74813442b7038066df56081b6277684e826cd83a25"),
+    "i_standard-sp": (_i_standard_sp_sweep, 571, "93ed795819e01d761358363769aa6268fae55070c60a18cbd2d1b975fa247dd2"),
+    "i_standard-u": (_i_standard_u_sweep, 284, "446aeb3774384feda64e2ffbd7e2fff8eb986cc3b49f9a7d7dd32e907490fa81"),
+}
+
+
+def index_sweep(name: str) -> tuple[int, str]:
+    """The count and sha256 of the values of sweep ``name``, as pinned."""
+    values = [str(v) for v in INDEX_SWEEPS[name][0]()]
+    return len(values), hashlib.sha256("\n".join(values).encode()).hexdigest()
 
 
 # The laws each fault fails on the rank-3 corpus, with their failing

@@ -3,26 +3,21 @@ import pytest
 from endokit.catalog import (
     GroupType,
     LeviDatum,
-    a_dimension,
-    a_space,
     bar,
     dual_center,
     gl,
     grouping_patterns,
-    is_unramified,
     layout_for,
     levi_data,
     levi_enumerate,
-    levis_containing,
     so_even,
     so_odd,
     sp,
     u,
-    unbar,
-    weyl_relative_order,
 )
-from endokit.errors import EmbeddingInvalid, UnsupportedFactor
+from endokit.errors import UnsupportedFactor
 from endokit.lattices import DiagSubgroup, arthur_product_check, diag_index
+from oracles import weyl_relative_order
 
 
 class TestFactorTypes:
@@ -99,24 +94,6 @@ class TestDualCenters:
             assert bfixed0 == fixed0
             assert fixed.contains(bfixed)
 
-    def test_a_dimension_matches_bar(self):
-        g = GroupType.of(so_odd(2), gl(1), u(1))
-        assert a_dimension(bar(g)) == a_dimension(g)
-
-    def test_a_dimension_values(self):
-        assert a_dimension(GroupType.of(gl(1), gl(2), sp(2))) == 2
-        assert a_dimension(GroupType.of(sp(4))) == 0
-        assert a_dimension(GroupType.of(gl(2, 3))) == 1
-        # the split rank-one even factor is itself a split torus
-        assert a_dimension(GroupType.of(so_even(1, "split"))) == 1
-        assert a_dimension(GroupType.of(so_even(1, "ramified"))) == 0
-
-    def test_a_space_block_sums(self):
-        g = GroupType.of(gl(2), sp(1))
-        space = a_space(g, layout_for(g))
-        assert space.dim == 1
-        assert space.contains_vector([1, 1, 0])
-
 
 class TestBar:
     def test_swap(self):
@@ -129,10 +106,6 @@ class TestBar:
     def test_degenerate(self):
         assert bar(GroupType.of(so_odd(0))).is_trivial
 
-    def test_unbar_inverts_on_bar_images(self):
-        g = GroupType.of(so_odd(2), gl(1), so_even(3))
-        assert unbar(bar(g)) == g
-
 
 class TestLeviEnumeration:
     def test_sp4(self):
@@ -142,28 +115,6 @@ class TestLeviEnumeration:
     def test_so3(self):
         got = {e.levi.display() for e in levi_enumerate(GroupType.of(so_odd(1)))}
         assert got == {"SO(3)", "GL(1)"}
-
-    def test_containing_top(self):
-        g = GroupType.of(sp(2))
-        top = next(e for e in levi_enumerate(g) if e.levi == g)
-        assert [e.levi for e in levis_containing(g, top)] == [g]
-
-    def test_containing_filters(self):
-        g = GroupType.of(sp(3))
-        bottom = next(
-            e
-            for e in levi_enumerate(g)
-            if e.levi == GroupType.of(gl(1), gl(1), gl(1))
-        )
-        got = {e.levi.display() for e in levis_containing(g, bottom)}
-        assert "Sp(6)" in got and "GL(1) x GL(1) x GL(1)" in got
-        assert "GL(1) x GL(2)" in got
-
-    def test_embedding_must_match(self):
-        g = GroupType.of(sp(2))
-        other = levi_enumerate(GroupType.of(sp(3)))[0]
-        with pytest.raises(EmbeddingInvalid):
-            levis_containing(g, other)
 
 
 class TestWeylOrders:
@@ -179,17 +130,6 @@ class TestWeylOrders:
     def test_only_sp_or_odd_so(self):
         with pytest.raises(UnsupportedFactor):
             weyl_relative_order(GroupType.of(u(2)), LeviDatum((), 2))
-
-
-class TestUnramified:
-    def test_split_families(self):
-        assert is_unramified(GroupType.of(sp(2), so_odd(1), so_even(2)))
-
-    def test_ramified_unitary(self):
-        assert not is_unramified(GroupType.of(u(2, ramified=True)))
-
-    def test_ramified_even_form(self):
-        assert not is_unramified(GroupType.of(so_even(2, "ramified")))
 
 
 class TestArthurProductOnLevis:

@@ -11,12 +11,13 @@ from endokit.ambient import Ambient, GEtaLevi, atom_layout, enumerate_levis, top
 from endokit.catalog import GroupType, gl, so_even, so_odd, sp, u
 from endokit.descent import (
     DescentScenario,
+    _centralizer_factors_counts,
+    _exponent_counts,
     _pair_key_exp,
     _self_inverse_exp,
-    centralizer_type,
     compatibility_check,
     descend,
-    eta_from_epsilon,
+    exponent_modulus,
     gs_descended_types,
     is_self_inverse,
     neg_rep_exp,
@@ -28,7 +29,7 @@ from endokit.descent import (
     validate_scenario,
 )
 from endokit.enatural import enumerate_E_natural, pushed_group_check, verify_identities, verify_index_sets
-from endokit.endoscopy import EigenMultiset, EllipticDatumMeta
+from endokit.endoscopy import EigenMultiset, EllipticDatumMeta, correspond_mu
 from endokit.errors import ScenarioValidationError
 from endokit.indexsets import EStElement, build_E_st, enumerate_e_st, pushforward_levi, section_levi
 from endokit.lattices import diag_identity_component, diag_index
@@ -46,6 +47,14 @@ def z(num, den):
 
 def ms(*entries):
     return EigenMultiset.of(entries)
+
+
+def centralizer_type(multiset, q, kind, form_tag_minus="split"):
+    """The centralizer type of an element with eigenvalue multiset
+    ``multiset``, ``kind`` "symplectic", "odd_orthogonal" or "gl", by the
+    factor builder ``descend`` uses."""
+    L = exponent_modulus((multiset,))
+    return GroupType(_centralizer_factors_counts(_exponent_counts(multiset, L), L, q, kind, form_tag_minus))
 
 
 def scenario(n, sizes, s0, q, eps_gl, eps_p, eps_d, tag_p="split", tag_d="split"):
@@ -200,17 +209,12 @@ class TestCentralizerTypes:
         assert got == GroupType.of(gl(1), gl(1), gl(1, 2))
 
     def test_eta_from_epsilon(self):
-        gl_blocks, sp_part = eta_from_epsilon(
-            scenario(1, (), (1, 0), 3, (), ms(z(1, 3), ONE, z(2, 3)), ms(ONE))
-        )
-        assert gl_blocks == ()
-        assert sp_part == EigenMultiset.symplectic([z(1, 3), z(2, 3)])
+        sc = scenario(1, (), (1, 0), 3, (), ms(z(1, 3), ONE, z(2, 3)), ms(ONE))
+        assert correspond_mu(sc.eps_prime, sc.eps_dblprime, sc.s0) == EigenMultiset.symplectic([z(1, 3), z(2, 3)])
 
     def test_eta_negates_second_side(self):
-        _, sp_part = eta_from_epsilon(
-            scenario(1, (), (0, 1), 3, (), ms(ONE), ms(MINUS, ONE, MINUS))
-        )
-        assert sp_part == EigenMultiset.symplectic([ONE, ONE])
+        sc = scenario(1, (), (0, 1), 3, (), ms(ONE), ms(MINUS, ONE, MINUS))
+        assert correspond_mu(sc.eps_prime, sc.eps_dblprime, sc.s0) == EigenMultiset.symplectic([ONE, ONE])
 
 
 class TestOutcomeStructure:

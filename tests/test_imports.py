@@ -1,20 +1,22 @@
 """Every module-level import in the package, the tests and the tools is used,
-every definition in the package is read somewhere, and no module of the
+every definition in the package serves the program, and no module of the
 package imports a private name of another.
 
 AST scans instead of a linter.  A name bound by a top-level ``import`` or
-``from ... import`` must be read somewhere else in the same module;
-``__init__.py`` re-exports by importing, so it is not scanned for imports.
+``from ... import`` must be read somewhere else in the same module.
 A top-level function or class of the package, or a method of one of its
-classes, must be read by name (a name, an attribute or an import, such as
-an ``__init__`` re-export) somewhere in the package or the tests.  Dunders
-are exempt, and so are functions under a decorator other than
-``property``, ``staticmethod`` and ``classmethod`` (click commands,
-memo tables), which the decorator registers or wraps.  A ``from .x import
-_y`` at any depth of a package module is a private name crossing a module
-boundary; a private module itself (``from . import _intlinalg``) may be
-imported.  So is a read of ``x._y`` in a module that binds ``_y`` nowhere:
-not as a function, a class, an assignment target or an attribute store.
+classes, must be read by name (a name, an attribute or an import) by a
+package module other than ``__init__.py``, or by a tool.  A re-export does
+not count, and neither does a test: a name that only tests read passes
+only as an entry of ``TEST_ONLY``, with the reason a test of live code
+needs it, and every entry must still be read by tests alone.  Dunders are
+exempt, and so are functions under a decorator other than ``property``,
+``staticmethod`` and ``classmethod`` (click commands, memo tables), which
+the decorator registers or wraps.  A ``from .x import _y`` at any depth of
+a package module is a private name crossing a module boundary; a private
+module itself (``from . import _intlinalg``) may be imported.  So is a read
+of ``x._y`` in a module that binds ``_y`` nowhere: not as a function, a
+class, an assignment target or an attribute store.
 """
 
 import ast
@@ -24,9 +26,21 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "endokit").glob("*.py"))
-SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
-MODULES = [p for p in SOURCES + sorted((ROOT / "tools").glob("*.py")) if p.name != "__init__.py"]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
+MODULES = PACKAGE + TESTS + TOOLS
 PLAIN_DECORATORS = {"property", "staticmethod", "classmethod"}
+
+# Package definitions that only tests read, each with the test of live code
+# that builds with it or compares against it.
+TEST_ONLY = {
+    "DescentScenario.to_json": "writes the --scenario files of the CLI and round-trip tests",
+    "DescentOutcome.mexc_reduced": "the reference of test_bottom_levi_pushes_to_matched_group",
+    "DiagSubgroup.full_torus": "builds the full torus in the lattice tests",
+    "RootOfUnity.one": "builds eigenvalues in the descent and CLI tests",
+    "RootOfUnity.minus_one": "builds eigenvalues in the descent and CLI tests",
+    "VerificationReport.body": "the report body that the streamed writer and the pool are compared against",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -87,6 +101,21 @@ def names_read(source: str) -> set[str]:
     return names
 
 
+def unread_definitions(package: dict[str, str], tools: list[str], tests: list[str], test_only: dict) -> list[str]:
+    """``module: definition`` for each definition in the ``package`` sources
+    (file name to source) that no package module but ``__init__.py`` and no
+    tool reads, unless ``test_only`` names it and a test reads it."""
+    program = [src for name, src in package.items() if name != "__init__.py"] + tools
+    read = set().union(*map(names_read, program))
+    tested = set().union(*map(names_read, tests))
+    return [
+        f"{name}: {d}"
+        for name, src in package.items()
+        for d in definitions(src)
+        if d.split(".")[-1] not in read and not (d in test_only and d.split(".")[-1] in tested)
+    ]
+
+
 def test_scan_flags_an_unread_definition():
     source = (
         "import click\n"
@@ -103,16 +132,24 @@ def test_scan_flags_an_unread_definition():
     )
     defined = definitions(source)
     assert defined == ["used", "unused", "C", "C.shown", "C.hidden"]
-    read = names_read(source)
-    assert [d for d in defined if d.split(".")[-1] not in read] == ["unused", "C.hidden"]
+    assert unread_definitions({"m.py": source}, [], [], {}) == ["m.py: unused", "m.py: C.hidden"]
+    package = {
+        "__init__.py": "from .m import exported\n",
+        "m.py": "def live(): pass\ndef exported(): pass\ndef tested(): pass\ndef builder(): pass\n",
+        "cli.py": "from .m import live\n",
+    }
+    tests = ["from endokit.m import builder, tested\nbuilder(); tested()\n"]
+    assert unread_definitions(package, [], tests, {"builder": "a test builder"}) == ["m.py: exported", "m.py: tested"]
+    assert unread_definitions(package, ["from endokit.m import exported, tested\n"], tests, {}) == ["m.py: builder"]
 
 
 def test_every_definition_is_read():
-    read = set().union(*(names_read(p.read_text()) for p in SOURCES))
-    unread = [
-        f"{p.name}: {d}" for p in PACKAGE for d in definitions(p.read_text()) if d.split(".")[-1] not in read
-    ]
-    assert unread == []
+    package = {p.name: p.read_text() for p in PACKAGE}
+    tools = [p.read_text() for p in TOOLS]
+    tests = [p.read_text() for p in TESTS]
+    assert unread_definitions(package, tools, tests, TEST_ONLY) == []
+    # each entry of TEST_ONLY is still a name that tests alone read
+    assert sorted(d.split(": ")[1] for d in unread_definitions(package, tools, tests, {})) == sorted(TEST_ONLY)
 
 
 def private_imports(source: str) -> list[str]:

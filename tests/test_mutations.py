@@ -1,19 +1,20 @@
-"""Code mutations that the descent checks must catch.
+"""Code mutations that the checks must catch.
 
 Each test applies one deliberate defect to the library with ``monkeypatch``
 and asserts that a small campaign no longer passes, naming the laws that
-fail (mutation analysis: DeMillo, Lipton and Sayward, "Hints on test data
-selection", IEEE Computer 11(4), 1978).  A mutation that no law catches
-would mark a shortcut the checks cannot see, unless it is equivalent: the
-same verdicts by another route, which its test records.
+fail, and where a law is blind to it, the pin that catches it (mutation
+analysis: DeMillo, Lipton and Sayward, "Hints on test data selection",
+IEEE Computer 11(4), 1978).  A mutation that no law or pin catches would
+mark a shortcut the checks cannot see, unless it is equivalent: the same
+verdicts by another route, which its test records.
 """
 
 from collections import Counter
 
-from endokit import ambient, campaign, enatural, indexsets, shape
+from endokit import ambient, campaign, enatural, endoscopy, indexsets, lattices, shape
 from endokit.ambient import Ambient
 from endokit.campaign import CampaignSpec, run_campaign
-from oracles import FAIL_COUNTS, rank3_outcomes
+from oracles import FAIL_COUNTS, INDEX_SWEEPS, index_sweep, rank3_outcomes
 
 RANK3 = CampaignSpec(max_rank=3, suites=("descent",))
 
@@ -71,6 +72,44 @@ def test_index_memo_keyed_by_first_group(monkeypatch):
         "instable-coefficient": 456,
         "stable-coefficient": 2198,
     }
+
+
+def test_intersection_memo_keyed_by_first_group(monkeypatch):
+    """A memo of ``diag_intersect`` keyed by its first group alone hands one
+    meet to every later pair with the same first group: the coefficient
+    laws and the instable fiber law fail."""
+    memo = {}
+
+    def keyed_by_first(d1, d2):
+        if d1 not in memo:
+            memo[d1] = lattices.diag_intersect(d1, d2)
+        return memo[d1]
+
+    monkeypatch.setattr(enatural, "diag_intersect", keyed_by_first)
+    assert failed_records(run_campaign(RANK3)) == {
+        "coefficient-ratio": 1552,
+        "final-identity": 1587,
+        "instable-coefficient": 232,
+        "instable-fiber-law": 130,
+        "stable-coefficient": 1512,
+    }
+
+
+def test_symplectic_core_given_mu2(monkeypatch):
+    """The Sp core of ``i_standard`` and the designated center of ``i_meta``
+    given the diagonal mu_2 of the unitary core instead of no condition:
+    both golden index ratios fail, and so do the pins of the ``i_meta`` and
+    symplectic ``i_standard`` sweeps.  The unitary sweep, whose core is
+    mu_2 already, keeps its pin."""
+    center = endoscopy.diag_center
+
+    def core_mu2(n, parts, groups=()):
+        return center(n, [("mu2" if tag == "none" else tag, coords) for tag, coords in parts], groups)
+
+    monkeypatch.setattr(endoscopy, "diag_center", core_mu2)
+    assert failed_records(run_campaign(CampaignSpec(max_rank=0, suites=("goldens",)))) == {"golden-index-ratio": 2}
+    pinned = {name: index_sweep(name) == INDEX_SWEEPS[name][1:] for name in INDEX_SWEEPS}
+    assert pinned == {"i_meta": False, "i_standard-sp": False, "i_standard-u": True}
 
 
 def test_unitary_halves_share_an_atom(monkeypatch):

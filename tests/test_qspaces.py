@@ -67,11 +67,6 @@ class TestQForm:
         with pytest.raises(ValueError):
             QForm(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))))
 
-    def test_inner(self):
-        g = QForm(((Fraction(2), Fraction(1)), (Fraction(1), Fraction(2))))
-        assert g.inner((1, 0), (0, 1)) == 1
-        assert g.inner((1, 1), (1, 1)) == 6
-
 
 class TestDCoefficient:
     def test_identity_when_one_side_full(self):
