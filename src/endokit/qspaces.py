@@ -58,10 +58,6 @@ class QSubspace:
         return QSubspace(ambient_dim, tuple(tuple(v) for v in vectors))
 
     @staticmethod
-    def zero(ambient_dim: int) -> "QSubspace":
-        return QSubspace(ambient_dim, ())
-
-    @staticmethod
     def full(ambient_dim: int) -> "QSubspace":
         return QSubspace.span(ambient_dim, [[int(i == j) for j in range(ambient_dim)] for i in range(ambient_dim)])
 

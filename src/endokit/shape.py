@@ -11,9 +11,7 @@ import itertools
 from collections.abc import Iterator
 from functools import cache
 
-from .ambient import eta_orientation
 from .descent import Block, DescentOutcome, placement, placement_independent
-from .indexsets import eps_orientation
 from .report import Verdict
 
 
@@ -49,18 +47,14 @@ def _block_part(outcome: DescentOutcome, b: Block) -> tuple[str, tuple[int, ...]
 
     twists = [(s,) * outcome.i_count for s in (1, -1)]
     home = (b.home[0], hole(b.home[1])) if b.home[0] in ("u", "gl") else b.home
-    sigma_places = [placement(outcome, b, t) for t in twists]
-    open_sigma = tuple(p if len(p) == 2 else (p[0], p[1], hole(p[2])) for p in sigma_places)
+    open_sigma = tuple(
+        p if len(p) == 2 else (p[0], p[1], hole(p[2])) for p in (placement(outcome, b, t) for t in twists)
+    )
     open_indep = tuple(
         p if len(p) == 2 else (p[0], p[1], hole(p[2])) for p in (placement_independent(outcome, b, t) for t in twists)
     )
-    if b.home[0] == "gl":
-        or_eta = eta_orientation(outcome, b)
-        or_eps = tuple(eps_orientation(outcome, b, t, p[2]) for t, p in zip(twists, sigma_places))
-    else:
-        or_eta, or_eps = 0, (0, 0)
     owner = None if b.owner is None else _HOLE
-    part = (b.size, b.ext, b.origin, owner, b.tag, b.sbar0, home, open_sigma, open_indep, or_eta, or_eps)
+    part = (b.size, b.ext, b.origin, owner, b.tag, home, open_sigma, open_indep)
     return _text(part), tuple(exps)
 
 
@@ -94,12 +88,29 @@ def outcome_shape(outcome: DescentOutcome) -> str:
     """Canonical combinatorial shape of an outcome, as one string.
 
     Two outcomes of equal shape differ only by which exact roots of unity
-    realize the same orbit pattern, and by the order of equal-size Levi
-    blocks, which the Weyl group of the Levi permutes.  Every identity
-    check consumes only the data below (block structure, placements,
-    orientations, slot incidences), and relabeling the owners of equal-size
-    blocks renames the twist coordinates, so equal shapes give identical
-    check results up to the positions that witnesses name.
+    realize the same orbit pattern, by the order of equal-size Levi blocks,
+    which the Weyl group of the Levi permutes, and by the orientations of GL
+    blocks.  Every identity check consumes only the data below (block
+    structure, placements, slot incidences) and the orientations.
+    Relabeling the owners of equal-size blocks renames the twist
+    coordinates, and flipping orientations is a torus automorphism (see
+    below), so equal shapes give identical check results up to the
+    positions that witnesses name.
+
+    The key leaves out each GL block's orientations: whether its exponent
+    lies in its home key's orbit or in the inverse one, as such and under
+    each twist (``ambient.eta_orientation``, ``indexsets.eps_orientation``).
+    The checks read an orientation only as the sign of a block inside a
+    pair-factor Levi group.  Flipping one block's orientation amounts to
+    inverting that block's atoms, an automorphism of the ambient torus, and
+    every center, intersection and index respects it; so outcomes that
+    differ only there get identical verdicts.  The key leaves out a block's
+    base-point sign ``sbar0`` too: its placements under the two constant
+    twists carry it.  The key is a function of the outcome that the checks
+    get, faulted or not.  It must not quotient by the sign changes of the
+    Levi's relative Weyl group, which also invert GL blocks: a fault acts
+    on the descended outcome, so such a class can hold passing and failing
+    scenarios.
 
     A rendering of the outcome is the ``repr`` of a nested tuple whose atoms
     are ``int``, ``str``, ``bool`` and ``None``: its blocks in owner order

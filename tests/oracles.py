@@ -15,7 +15,9 @@ over, and the relative Weyl order of a Levi class in Sp or odd SO.  The
 sweeps and their pins are shared by the endoscopy and mutation tests.
 The shape of an outcome in its own block order, and the least such shape
 over every order of its equal-size Levi owners, each outcome re-rendered in
-full, are the slow path of the shape cache's canonical key.  The rank-3
+full, are the slow path of the shape cache's canonical key; rendered with
+each block's base-point sign and orientations, which the key leaves out,
+they are the finer reference key it is compared against.  The rank-3
 corpus's post-fault outcomes, and the laws each fault fails on it, are
 shared by the campaign and mutation tests.
 """
@@ -591,13 +593,25 @@ def record_pairs(records) -> list:
     return [(r.scenario, ((r.check, r.law, r.status, tuple(sorted(r.witness.items()))),)) for r in records]
 
 
-def raw_shape(outcome) -> str:
+def block_orientations(outcome, b) -> tuple:
+    """A block's eta orientation and its eps orientations under the two
+    constant twists, zeros for a block not at home in a ``gl`` factor."""
+    if b.home[0] != "gl":
+        return 0, (0, 0)
+    twists = [(s,) * outcome.i_count for s in (1, -1)]
+    or_eps = tuple(eps_orientation(outcome, b, t, placement(outcome, b, t)[2]) for t in twists)
+    return eta_orientation(outcome, b), or_eps
+
+
+def raw_shape(outcome, oriented: bool = False) -> str:
     """The combinatorial shape of an outcome in its own block order, as one
     string: the ``repr`` of a nested tuple whose atoms are ``int``, ``str``,
     ``bool`` and ``None``, exponents numbered by first appearance.  Which
     members are exponents is fixed by position: the second member of a
     ``u`` or ``gl`` home, the third member of a placement, and a slot's
-    ``eta_rep``."""
+    ``eta_rep``.  With ``oriented``, each block also holds its base-point
+    sign (after its tag) and its ``block_orientations`` (last), which the
+    shape key leaves out: a reference rendering, finer than the key."""
     classes: dict[int, int] = {}
 
     def cls(exp: int) -> int:
@@ -616,18 +630,10 @@ def raw_shape(outcome) -> str:
         indep_places = tuple(
             classify(placement_independent(outcome, b, (s,) * i_count)) for s in (1, -1)
         )
-        if b.home[0] == "gl":
-            or_eta = eta_orientation(outcome, b)
-            or_eps = tuple(
-                eps_orientation(outcome, b, (s,) * i_count, placement(outcome, b, (s,) * i_count)[2])
-                for s in (1, -1)
-            )
-        else:
-            or_eta, or_eps = 0, (0, 0)
-        blocks_shape.append(
-            (b.size, b.ext, b.origin, b.owner, b.tag, b.sbar0, home_sh,
-             sigma_places, indep_places, or_eta, or_eps)
-        )
+        part = (b.size, b.ext, b.origin, b.owner, b.tag, home_sh, sigma_places, indep_places)
+        if oriented:
+            part = (*part[:5], b.sbar0, *part[5:], *block_orientations(outcome, b))
+        blocks_shape.append(part)
     slots_shape = tuple(
         (cls(s.eta_rep), s.d, s.k_prime, s.k_dbl) for s in outcome.u_slots
     )
@@ -667,7 +673,10 @@ def permuted_outcome(outcome, order):
     )
 
 
-def brute_canonical_shape(outcome) -> str:
+def brute_canonical_shape(outcome, oriented: bool = False) -> str:
     """The least ``raw_shape`` over every order of the equal-size Levi
-    owners, each permuted outcome rendered in full."""
-    return min(raw_shape(permuted_outcome(outcome, order)) for order in owner_orders(outcome.scenario.sizes))
+    owners, each permuted outcome rendered in full.  With ``oriented``, the
+    finer reference key that the shape cache's key is compared against
+    above rank 3."""
+    orders = owner_orders(outcome.scenario.sizes)
+    return min(raw_shape(permuted_outcome(outcome, order), oriented) for order in orders)

@@ -77,6 +77,29 @@ def test_shape_cache_matches_uncached_checks(fault):
     assert len({id(v) for v in verdicts}) == len({repr(v) for v in verdicts})
 
 
+def test_rank4_pairs_match_the_oriented_reference_key(monkeypatch):
+    """Above rank 3 the key is compared with a finer one: the clean rank-4
+    descent pairs equal those of a campaign keyed by the oriented brute-force
+    rendering, which keeps apart outcomes that differ only in a block's
+    base-point sign or orientations.  The key checks 7,109 shapes where the
+    reference checks 10,031."""
+    check = campaign._check_outcome
+    checked = []
+
+    def counted(outcome):
+        checked.append(outcome.scenario)
+        return check(outcome)
+
+    monkeypatch.setattr(campaign, "_check_outcome", counted)
+    spec = CampaignSpec(max_rank=4, suites=("descent",))
+    got = run_campaign(spec)
+    misses = len(checked)
+    monkeypatch.setattr(campaign, "outcome_shape", lambda outcome: brute_canonical_shape(outcome, oriented=True))
+    want = run_campaign(spec)
+    assert got.pairs == want.pairs and got.passed
+    assert (misses, len(checked) - misses) == (7109, 10031)
+
+
 def atoms(x):
     """The atoms of a nested tuple, depth first."""
     if type(x) is tuple:
@@ -86,7 +109,7 @@ def atoms(x):
         yield x
 
 
-@pytest.mark.parametrize("fault,shapes", [(None, 1730), ("corrupt-sbar0", 1783)])
+@pytest.mark.parametrize("fault,shapes", [(None, 1223), ("corrupt-sbar0", 1276)])
 def test_shape_keys_are_exact_strings(fault, shapes):
     """Each shape rendering is the repr of a tuple of int/str/bool/None
     atoms, so the strings are exactly as many as the tuples they print."""
@@ -100,28 +123,32 @@ def test_shape_keys_are_exact_strings(fault, shapes):
 # The shape partition of the rank-3 corpus: the number of distinct
 # ``raw_shape`` renderings, and the sha256 of every scenario's rendering in
 # corpus order, joined by newlines.  A change of exponent representation
-# must leave both alone, or shapes stop merging (or merge wrongly).
+# must leave both alone, or shapes stop merging (or merge wrongly).  The
+# oriented reference rendering also holds each block's base-point sign and
+# orientations, which the key leaves out.
 SHAPE_PARTITION = {
-    None: (1730, "b241eae382b23dc89354655b8162263acfdefd19be5d6333c6da93f750917f39"),
-    "corrupt-sbar0": (1783, "2a69cd8f8de3bd1da9b4687d3a4d0dada43a10ae94611d1374f52b6334910550"),
+    (None, False): (1223, "c32d8b07768abf4bd4889cdc06b1db834ee66275eb872f9d54eb9a01ba2f41fc"),
+    ("corrupt-sbar0", False): (1276, "3a00d43ee71650fa8f72e6746bda38de26c7a1325ff61e15c0ee81ce03c8399e"),
+    (None, True): (1730, "b241eae382b23dc89354655b8162263acfdefd19be5d6333c6da93f750917f39"),
+    ("corrupt-sbar0", True): (1783, "2a69cd8f8de3bd1da9b4687d3a4d0dada43a10ae94611d1374f52b6334910550"),
 }
 
 
-@pytest.mark.parametrize("fault", [None, "corrupt-sbar0"])
-def test_shape_partition_is_pinned(fault):
-    keys = [raw_shape(o) for o in rank3_outcomes(fault)]
+@pytest.mark.parametrize("fault,oriented", list(SHAPE_PARTITION))
+def test_shape_partition_is_pinned(fault, oriented):
+    keys = [raw_shape(o, oriented) for o in rank3_outcomes(fault)]
     assert len(keys) == 3154
-    assert (len(set(keys)), hashlib.sha256("\n".join(keys).encode()).hexdigest()) == SHAPE_PARTITION[fault]
+    assert (len(set(keys)), hashlib.sha256("\n".join(keys).encode()).hexdigest()) == SHAPE_PARTITION[fault, oriented]
 
 
 # The canonical partition of the rank-3 corpus under each fault: the number
 # of distinct ``outcome_shape`` keys and the sha256 of every scenario's key
 # in corpus order, joined by newlines.
 CANONICAL_PARTITION = {
-    None: (1524, "4954974d4202ee76d1c61965fcf410d63b2c88f17d831b4113a5c520fd2d6aab"),
-    "corrupt-sbar0": (1737, "3c55601ae9d8fd162e26b5ce7ef9917868ce2c18861a05178517c60d41d65db1"),
-    "shift-prime-rank": (1508, "2d3d58717d878bc5d273d64f3bf5daa470366cb39def9f39f51c571452cd2e4a"),
-    "pull-levi-block": (1442, "64dc7cb2d09713ae00eef04b056cdcaa459274275b8246a1c951697811cef11b"),
+    None: (1137, "158eeceb7b7b83a2c37fa66a01ff7c1d0e9c612e256370d960354096f1476559"),
+    "corrupt-sbar0": (1260, "9a464d6bd88287112c4d1988b6888f5c38e45d1f0e76b91c103749c0c173fe85"),
+    "shift-prime-rank": (1123, "8589969fc9071d8f904ab73cdc438f87c70aab36bac5c462082fc1ab94d1b369"),
+    "pull-levi-block": (1079, "a4d488fc9bc13c4bbfdb0dee1ca914f8f6cc294f7cfbf1763bbb7573cb7b2e77"),
 }
 
 
@@ -215,7 +242,7 @@ def test_failed_hit_is_checked_afresh(monkeypatch):
         want = check_scenario(sc, None, None).verdicts
         assert got[sc.digest()] == want, sc.digest()
         witnesses[outcome_shape(descend(sc))].add(want[0][3])
-    assert max(map(len, witnesses.values())) == 2
+    assert max(map(len, witnesses.values())) == 3
 
 
 def test_pool_matches_one_process_at_rank_3():
@@ -360,7 +387,7 @@ def test_each_levi_group_is_one_run_of_its_own_shapes(rank, fault):
         outcome = descend(sc)
         key = outcome_shape(FAULTS[fault](outcome) if fault else outcome)
         assert group_of.setdefault(key, (sc.n, sc.sizes)) == (sc.n, sc.sizes), sc.digest()
-    assert len(group_of) == (10031 if rank == 4 else CANONICAL_PARTITION[fault][0])
+    assert len(group_of) == (7109 if rank == 4 else CANONICAL_PARTITION[fault][0])
 
 
 def test_pool_asks_for_no_more_workers_than_groups(monkeypatch):

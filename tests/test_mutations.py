@@ -14,7 +14,7 @@ from collections import Counter
 from endokit import ambient, campaign, enatural, endoscopy, indexsets, lattices, shape
 from endokit.ambient import Ambient
 from endokit.campaign import CampaignSpec, run_campaign
-from oracles import FAIL_COUNTS, INDEX_SWEEPS, index_sweep, rank3_outcomes
+from oracles import FAIL_COUNTS, INDEX_SWEEPS, block_orientations, index_sweep, rank3_outcomes
 
 RANK3 = CampaignSpec(max_rank=3, suites=("descent",))
 
@@ -167,8 +167,8 @@ def test_degenerate_even_part_kept(monkeypatch):
 def test_identity_owner_order_is_equivalent(monkeypatch):
     """An equivalent mutation: a shape key built from the identity order of
     the Levi owners alone is still exact, only no longer canonical under
-    block permutations.  The campaign checks the 1,730 raw shapes of the
-    rank-3 corpus instead of its 1,524 classes, with the same verdicts."""
+    block permutations.  The campaign checks the 1,223 raw shapes of the
+    rank-3 corpus instead of its 1,137 classes, with the same verdicts."""
     check = campaign._check_outcome
     checked = []
 
@@ -185,23 +185,28 @@ def test_identity_owner_order_is_equivalent(monkeypatch):
     monkeypatch.setattr(shape, "_owner_orders", identity_order)
     got = run_campaign(RANK3)
     assert got.pairs == want.pairs and got.passed
-    assert (classes, len(checked) - classes) == (1524, 1730)
+    assert (classes, len(checked) - classes) == (1137, 1223)
 
 
-# Positions of two members in the part tuple that ``shape._block_part`` prints.
-PART_MEMBERS = {"sbar0": 5, "or_eps": 10}
+# Members that the part tuple ``shape._block_part`` prints leaves out: the
+# position each takes when put back, and its values for a block.
+PART_MEMBERS = {
+    "sbar0": (5, lambda outcome, b: (b.sbar0,)),
+    "orientations": (8, block_orientations),
+}
 
 
-def drop_part_member(monkeypatch, member):
-    """``shape._block_part`` with ``member`` left out of every block's part."""
-    block_part, i = shape._block_part, PART_MEMBERS[member]
+def add_part_member(monkeypatch, member):
+    """``shape._block_part`` with ``member`` put back into every block's part."""
+    block_part = shape._block_part
+    i, values = PART_MEMBERS[member]
 
-    def dropped(outcome, b):
+    def added(outcome, b):
         with monkeypatch.context() as m:
-            m.setattr(shape, "_text", lambda part: repr(part[:i] + part[i + 1:]))
+            m.setattr(shape, "_text", lambda part: repr((*part[:i], *values(outcome, b), *part[i:])))
             return block_part(outcome, b)
 
-    monkeypatch.setattr(shape, "_block_part", dropped)
+    monkeypatch.setattr(shape, "_block_part", added)
 
 
 def rank3_class_counts():
@@ -210,27 +215,28 @@ def rank3_class_counts():
     return tuple(len({shape.outcome_shape(o) for o in rank3_outcomes(f)}) for f in (None, "corrupt-sbar0"))
 
 
-def test_part_without_or_eps_fails_the_partition_pin(monkeypatch):
-    """A block part without its eps orientations merges rank-3 shape
-    classes: 1,499 keys instead of the pinned 1,524 of
-    ``CANONICAL_PARTITION`` (1,712 instead of 1,737 under
+def test_part_with_orientations_is_equivalent(monkeypatch):
+    """An equivalent mutation: a block part that holds its eta and eps
+    orientations again splits rank-3 classes, 1,524 keys instead of the
+    1,137 of ``CANONICAL_PARTITION`` (1,737 instead of 1,260 under
     ``corrupt-sbar0``), which the pin and the brute-force partition of
-    ``test_canonical_key_matches_brute_force`` catch.  No law does: the
-    merged classes share their verdicts, so the failures stay those of
-    ``FAIL_COUNTS``."""
-    drop_part_member(monkeypatch, "or_eps")
-    assert rank3_class_counts() == (1499, 1712)
+    ``test_canonical_key_matches_brute_force`` catch.  No law does: the split
+    classes share their verdicts, since flipping a block's orientation
+    inverts its atoms, an automorphism of the torus that every check
+    respects.  So the failures stay those of ``FAIL_COUNTS``."""
+    add_part_member(monkeypatch, "orientations")
+    assert rank3_class_counts() == (1524, 1737)
     spec = CampaignSpec(max_rank=3, suites=("descent",), fault="corrupt-sbar0")
     assert failed_records(run_campaign(spec)) == FAIL_COUNTS["corrupt-sbar0"]
 
 
-def test_part_without_sbar0_is_equivalent(monkeypatch):
-    """An equivalent mutation: a block part without its base-point sign
-    keeps every rank-3 class apart, clean and under ``corrupt-sbar0``, since
+def test_part_with_sbar0_is_equivalent(monkeypatch):
+    """An equivalent mutation: a block part that holds its base-point sign
+    again splits no rank-3 class, clean or under ``corrupt-sbar0``, since
     the block's placements under the two constant twists carry the sign;
     so the key partitions the corpus as before and the failures are those
     of ``FAIL_COUNTS``."""
-    drop_part_member(monkeypatch, "sbar0")
-    assert rank3_class_counts() == (1524, 1737)
+    add_part_member(monkeypatch, "sbar0")
+    assert rank3_class_counts() == (1137, 1260)
     spec = CampaignSpec(max_rank=3, suites=("descent",), fault="corrupt-sbar0")
     assert failed_records(run_campaign(spec)) == FAIL_COUNTS["corrupt-sbar0"]

@@ -71,13 +71,13 @@ class TestQForm:
 class TestDCoefficient:
     def test_identity_when_one_side_full(self):
         full = QSubspace.full(2)
-        zero = QSubspace.zero(2)
+        zero = QSubspace(2, ())
         assert d_coefficient(zero, full, full, E2).value == 1
 
     def test_dimension_mismatch_is_zero(self):
         full = QSubspace.full(2)
         line = span(2, (1, 0))
-        assert d_coefficient(line, QSubspace.zero(2), full, E2).value == 0
+        assert d_coefficient(line, QSubspace(2, ()), full, E2).value == 0
 
     def test_orthogonal_lines(self):
         full = QSubspace.full(2)
