@@ -109,11 +109,23 @@ def atoms(x):
         yield x
 
 
-@pytest.mark.parametrize("fault,shapes", [(None, 1223), ("corrupt-sbar0", 1276)])
-def test_shape_keys_are_exact_strings(fault, shapes):
-    """Each shape rendering is the repr of a tuple of int/str/bool/None
-    atoms, so the strings are exactly as many as the tuples they print."""
-    keys = {raw_shape(o) for o in rank3_outcomes(fault)}
+@pytest.mark.parametrize(
+    "fault,shapes,oriented",
+    [
+        pytest.param(fault, shapes, oriented, id=f"{fault}-{shapes}")
+        for fault, shapes, oriented in [
+            (None, 1223, False),
+            ("corrupt-sbar0", 1276, False),
+            (None, 1730, True),
+            ("corrupt-sbar0", 1783, True),
+        ]
+    ],
+)
+def test_shape_keys_are_exact_strings(fault, shapes, oriented):
+    """Each shape rendering, the key's and the oriented reference's, is the
+    repr of a tuple of int/str/bool/None atoms, so the strings are exactly
+    as many as the tuples they print."""
+    keys = {raw_shape(o, oriented) for o in rank3_outcomes(fault)}
     tuples = {ast.literal_eval(key) for key in keys}
     assert len(keys) == len(tuples) == shapes
     assert {type(a) for t in tuples for a in atoms(t)} <= {int, str, bool, type(None)}
@@ -134,11 +146,13 @@ SHAPE_PARTITION = {
 }
 
 
-@pytest.mark.parametrize("fault,oriented", list(SHAPE_PARTITION))
-def test_shape_partition_is_pinned(fault, oriented):
-    keys = [raw_shape(o, oriented) for o in rank3_outcomes(fault)]
-    assert len(keys) == 3154
-    assert (len(set(keys)), hashlib.sha256("\n".join(keys).encode()).hexdigest()) == SHAPE_PARTITION[fault, oriented]
+@pytest.mark.parametrize("fault", [None, "corrupt-sbar0"])
+def test_shape_partition_is_pinned(fault):
+    outcomes = rank3_outcomes(fault)
+    for oriented in (False, True):
+        keys = [raw_shape(o, oriented) for o in outcomes]
+        assert len(keys) == 3154
+        assert (len(set(keys)), hashlib.sha256("\n".join(keys).encode()).hexdigest()) == SHAPE_PARTITION[fault, oriented]
 
 
 # The canonical partition of the rank-3 corpus under each fault: the number
