@@ -20,8 +20,8 @@ from ._intlinalg import det_int
 from .catalog import GroupType, diag_center, gl, grouping_patterns, so_even, so_odd, sp, u
 from .descent import Block, DescentOutcome, orbit_of, sigma
 from .errors import InvariantViolation
-from .lattices import MEMO_SIZE, DiagSubgroup
-from .qspaces import DSquared, QForm, QSubspace, d_coefficient
+from .lattices import MEMO_SIZE, DiagSubgroup, IntLattice
+from .qspaces import DSquared, d_coefficient
 
 Group = tuple[tuple[int, int], ...]
 
@@ -32,9 +32,7 @@ def d_squared(
 ) -> DSquared:
     """Squared volume distortion of the block-coordinate spaces spanned by
     ``rows_m`` and ``rows_l``, for blocks of widths ``w``."""
-    nb = len(w)
-    form = QForm(tuple(tuple(w[i] if i == j else 0 for j in range(nb)) for i in range(nb)))
-    return d_coefficient(QSubspace(nb, rows_m), QSubspace(nb, rows_l), QSubspace.full(nb), form)
+    return d_coefficient(rows_m, rows_l, IntLattice.full(len(w)).generators, w)
 
 
 def normalize_group(pairs: Iterable[tuple[int, int]]) -> Group:

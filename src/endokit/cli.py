@@ -39,7 +39,7 @@ from .endoscopy import (
 )
 from .errors import EndokitError
 from .nonstandard import NSLeviPair, build_triple, c_nonstandard_raw
-from .qspaces import QForm, QSubspace, d_coefficient
+from .qspaces import d_coefficient
 from .rootsofunity import sc_str
 
 EXIT_IDENTITY_FAILURE = 1
@@ -288,7 +288,7 @@ def coeff(kind, n, sizes, m, s0, signs, ambient, even_class, dbl_side, dim, am, 
             value = i_standard(cfg, side)
             rows = [{"value": sc_str(value), "group": arthur_L_of_s(cfg, side).display()}]
         else:  # kind == "d"
-            dsq = d_coefficient(*(QSubspace.span(dim, vecs) for vecs in vectors), QForm.standard(dim))
+            dsq = d_coefficient(*vectors, (1,) * dim)
             rows = [{"d_squared": sc_str(dsq.value)}]
     except (EndokitError, ValueError) as exc:
         click.echo(f"domain error: {exc}", err=True)

@@ -4,7 +4,8 @@ Everything here recomputes results by a route independent of the library
 code it checks: element enumeration for finite diagonalizable groups, coset
 counting for lattice indices, Gram determinants by cofactor expansion,
 rational subspaces and volume ratios by Fraction row reduction, the
-torus coordinates of a descent outcome (one coordinate per eigenvalue), the
+torus coordinates of a descent outcome (one coordinate per eigenvalue) and
+the volume ratio of each of its Levis in them, the
 centralizer of a general twist (symbolic labels alongside signs) from the
 sign algebra alone, and the Frobenius orbits of exponents as Fractions in
 Q/Z.  The matched Levi and the test for -1 are read only by tests, and so
@@ -30,7 +31,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
-from endokit.ambient import GEtaLevi, eta_orientation
+from endokit.ambient import Ambient, GEtaLevi, enumerate_levis, eta_orientation
 from endokit.campaign import FAULTS, CampaignSpec
 from endokit.catalog import GroupType, LeviDatum, gl, levi_data, so_even, so_odd, sp, u
 from endokit.corpus import scenario_corpus
@@ -328,6 +329,37 @@ def torus_layout(outcome):
         )
     }
     return pos, blocks, u_prime, u_dbl, pm
+
+
+def torus_volumes(outcomes):
+    """For each distinct (layout, Levi) of ``outcomes``: the Levi and
+    ``Ambient.d_g`` of it in weighted block coordinates, beside the volume
+    ratio in torus coordinates under the unit form (``d_coefficient``)."""
+    seen = {}
+    for o in outcomes:
+        amb = Ambient(o)
+        n, block_coords, _, _, _ = torus_layout(o)
+
+        def space(groups):
+            vecs = []
+            for grp in groups:
+                v = [0] * n
+                for bid, e in grp:
+                    for c in block_coords[bid]:
+                        v[c] = e
+                vecs.append(v)
+            return vecs
+
+        unit = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        ar = space([((b.bid, 1),) for b in o.blocks])
+        am = space([tuple((bid, 1) for bid in amb.owners[i]) for i in sorted(amb.owners)])
+        owners = tuple((i, tuple(bids)) for i, bids in sorted(amb.owners.items()))
+        layout = (n, tuple((b.bid, b.width) for b in o.blocks), owners)
+        for levi in enumerate_levis(o):
+            if (layout, levi.groups) not in seen:
+                want = d_coefficient(am, space(levi.groups), ar, unit)
+                seen[layout, levi.groups] = (levi, amb.d_g(levi).value, want)
+    return list(seen.values())
 
 
 # ---------------------------------------------------------------------------

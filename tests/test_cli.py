@@ -159,6 +159,23 @@ class TestCoeffCommand:
         assert result.exit_code == 0
         assert json.loads(result.output)[0]["d_squared"] == "0"
 
+    @pytest.mark.parametrize(
+        "dim, am, al, ar, want",
+        [
+            ("3", "1,1,1", "1,0,0", "1,0,0;0,1,1", "2/3"),
+            ("3", "1/2,1/3,0", "0,0,1;1,1,1", "1,0,0;0,1,0;0,0,1", "1/26"),
+            ("2", "1,0", "1,5", "1,0;0,1", "25/26"),
+        ],
+        ids=["proper-ar", "rational-vector", "skew-lines"],
+    )
+    def test_d_value(self, runner, dim, am, al, ar, want):
+        result = runner.invoke(
+            main,
+            ["coeff", "--kind", "d", "--dim", dim, "--am", am, "--al", al, "--ar", ar, "--format", "json"],
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)[0]["d_squared"] == want
+
     def test_domain_error_exits_three(self, runner):
         result = runner.invoke(
             main, ["coeff", "--kind", "d", "--dim", "2", "--am", "1,0,0", "--al", "1,0", "--ar", "1,0;0,1"]

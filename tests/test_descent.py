@@ -464,41 +464,13 @@ class TestTwistHomomorphism:
 
 class TestBlockCoordinateShortcut:
     """``Ambient.d_g`` computes in weighted block coordinates; it must equal
-    the coefficient computed in ambient torus coordinates under the
-    standard form."""
+    the Fraction oracle's coefficient in ambient torus coordinates under the
+    unit form."""
 
     def test_d_g_matches_ambient_coordinates(self):
-        from endokit.campaign import CampaignSpec, scenario_corpus
-        from endokit.qspaces import QForm, QSubspace, d_coefficient
-
-        seen = set()
-        for sc in scenario_corpus(CampaignSpec(max_rank=3, suites=("descent",))):
-            o = descend(sc)
-            amb = Ambient(o)
-            n, block_coords, _, _, _ = torus_layout(o)
-
-            def space(groups):
-                vecs = []
-                for grp in groups:
-                    v = [0] * n
-                    for bid, e in grp:
-                        for c in block_coords[bid]:
-                            v[c] = e
-                    vecs.append(v)
-                return QSubspace.span(n, vecs)
-
-            ar = space([((b.bid, 1),) for b in o.blocks])
-            am = space([tuple((bid, 1) for bid in amb.owners[i]) for i in sorted(amb.owners)])
-            owners = tuple((i, tuple(bids)) for i, bids in sorted(amb.owners.items()))
-            layout = (n, tuple((b.bid, b.width) for b in o.blocks), owners)
-            for levi in enumerate_levis(o):
-                key = (layout, levi.groups)
-                if key in seen:
-                    continue
-                seen.add(key)
-                slow = d_coefficient(am, space(levi.groups), ar, QForm.standard(n))
-                assert amb.d_g(levi) == slow, (sc.digest(), levi)
-        assert len(seen) > 100, len(seen)
+        volumes = oracles.torus_volumes(oracles.rank3_outcomes(None))
+        assert [(levi, got) for levi, got, want in volumes if got != want] == []
+        assert len(volumes) > 100, len(volumes)
 
 
 class TestAtomCoordinates:

@@ -11,10 +11,13 @@ verdicts by another route, which its test records.
 
 from collections import Counter
 
+import pytest
+
 from endokit import ambient, campaign, enatural, endoscopy, indexsets, lattices, shape
 from endokit.ambient import Ambient
 from endokit.campaign import CampaignSpec, run_campaign
-from oracles import FAIL_COUNTS, INDEX_SWEEPS, block_orientations, index_sweep, rank3_outcomes
+from endokit.qspaces import DSquared
+from oracles import FAIL_COUNTS, INDEX_SWEEPS, block_orientations, index_sweep, rank3_outcomes, torus_volumes
 
 RANK3 = CampaignSpec(max_rank=3, suites=("descent",))
 
@@ -162,6 +165,53 @@ def test_degenerate_even_part_kept(monkeypatch):
     stable index set gains Levis that no natural entry reaches."""
     monkeypatch.setattr(indexsets, "_degenerate_even", lambda outcome, key, absorbed: False)
     assert failed_records(run_campaign(RANK3)) == {"stable-map-bijective": 813}
+
+
+def test_double_prime_slot_in_plus_cell_is_equivalent(monkeypatch):
+    """An equivalent mutation: a unitary core's class with its double-prime
+    slot in the plus cell beside the prime slot.  It relabels the classes of
+    each core one to one, so the rank-3 pairs stay as they are, clean and
+    under every fault."""
+    datum_class = indexsets._datum_class
+    want = {f: run_campaign(CampaignSpec(max_rank=3, suites=("descent",), fault=f)).pairs for f in FAIL_COUNTS}
+    reached = []
+
+    def d_in_plus(amb, home, absorbed, signs):
+        if home[0] == "sp":
+            return datum_class(amb, home, absorbed, signs)
+        slot = amb.slots[home[1]]
+        reached.append(slot.k_dbl)
+        plus = [b.bid for b, s in zip(absorbed, signs) if s == 1] + ["P"] * bool(slot.k_prime)
+        minus = [b.bid for b, s in zip(absorbed, signs) if s == -1]
+        plus += ["D"] * bool(slot.k_dbl)
+        return home, frozenset(frozenset(cell) for cell in (plus, minus) if cell)
+
+    monkeypatch.setattr(indexsets, "_datum_class", d_in_plus)
+    for f, pairs in want.items():
+        assert run_campaign(CampaignSpec(max_rank=3, suites=("descent",), fault=f)).pairs == pairs, f
+    assert any(reached)
+
+
+# Wrong volume factors that keep every zero where it is.
+VOLUME_MUTATIONS = {
+    "unit-value": lambda d_squared: lambda w, m, l: d if (d := d_squared(w, m, l)).is_zero else DSquared(1),
+    "unit-weights": lambda d_squared: lambda w, m, l: d_squared((1,) * len(w), m, l),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(VOLUME_MUTATIONS))
+def test_volume_value_reaches_no_law(monkeypatch, mutation):
+    """A volume factor of 1 wherever it is nonzero, or one computed under
+    the unit form instead of the block widths, fails no law at rank 3: the
+    laws read only whether d is zero, and no witness prints it.  Only the
+    comparison with the Fraction oracle in torus coordinates
+    (``test_d_g_matches_ambient_coordinates``) catches it."""
+    want = run_campaign(RANK3).pairs
+    wrong = VOLUME_MUTATIONS[mutation](ambient.d_squared)
+    monkeypatch.setattr(ambient, "d_squared", wrong)
+    monkeypatch.setattr(indexsets, "d_squared", wrong)
+    assert run_campaign(RANK3).pairs == want
+    assert any(got != oracle for _, got, oracle in torus_volumes(rank3_outcomes(None)))
 
 
 def test_identity_owner_order_is_equivalent(monkeypatch):
